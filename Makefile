@@ -50,9 +50,17 @@ serve-smoke:
 # snapfork-smoke races the warm-state snapshot/fork protocol: forked
 # runs must be bit-identical to cold re-warms for every generation, the
 # sweep API must produce identical results with and without a warm
-# cache, and the pre-decoded steady-state step loop must not allocate.
+# cache, the pre-decoded steady-state step loop must not allocate, and
+# the block zero scans must encode byte-identical images. It also races
+# the reuse caches' admission rules: a pair's warm image is captured on
+# its second warmup only, the "seen once" set stays bounded, and the
+# simulator pool keeps at most seven configurations idle, with no
+# M1-M6 rebuilds while one-shot M7 jobs pass through a server.
 snapfork-smoke:
-	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate' .
+	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate' . && \
+	$(GO) test -race -run 'TestZeroScan|TestClearDirty' ./internal/snapshot/ && \
+	$(GO) test -race -run 'TestWarmAdmission|TestSimPoolBound' ./internal/experiments/ && \
+	$(GO) test -race -run 'TestSliceJobMatchesDirectRun|TestAdmissionMetricsExported' ./internal/serve/
 
 # fabric-smoke races the distributed sweep fabric end to end: shard
 # planning/merge bit-identity under random partitions, the coordinator's

@@ -403,14 +403,16 @@ func measure(reps int, smoke bool) *Report {
 			Reps:        reps,
 		})
 	}
-	rep.PopulationCold = measurePopulation(reps, smoke)
+	rep.PopulationCold = measurePopulation(reps, smoke, 1)
 	// The warm entry measures the full steady-state serving stack: warm
 	// snapshots to skip re-warming plus a simulator pool shared across
 	// reps, exactly the configuration a long-lived exyserve process
-	// converges to. The cold entry keeps the historical methodology
-	// (fresh simulators, full warmup) for baseline continuity.
+	// converges to. It takes two un-scored passes, because the cache
+	// captures a pair's image on the pair's second warmup. The cold
+	// entry keeps the historical methodology (fresh simulators, full
+	// warmup) for baseline continuity.
 	warm := experiments.NewWarmCache()
-	rep.Population = measurePopulation(reps, smoke,
+	rep.Population = measurePopulation(reps, smoke, 2,
 		experiments.WithWarmSnapshots(warm), experiments.WithSimPool(experiments.NewSimPool()))
 	rep.PopulationFabric = measureFabric(reps, smoke)
 	rep.TracePopulation = measureTracePopulation(reps, smoke)
@@ -564,12 +566,12 @@ func measureFabric(reps int, smoke bool) *PopResult {
 // measurePopulation times full experiments.Run sweeps (min-of-reps wall
 // seconds). Smoke mode runs one tiny-spec sweep, still covering suite
 // generation, the worker pool, and Reset-based simulator reuse. The
-// un-scored warm pass before the reps populates any WarmCache passed in
-// opts, so the scored reps measure the steady state: every pair forking
-// from its cached snapshot. InstsPerSec counts measured instructions
-// only (stats reset at the warmup boundary), so warm and cold entries
-// share a numerator.
-func measurePopulation(reps int, smoke bool, opts ...experiments.Option) *PopResult {
+// warmups un-scored passes before the reps populate any WarmCache passed
+// in opts, so the scored reps measure the steady state: every pair
+// forking from its cached snapshot. InstsPerSec counts measured
+// instructions only (stats reset at the warmup boundary), so warm and
+// cold entries share a numerator.
+func measurePopulation(reps int, smoke bool, warmups int, opts ...experiments.Option) *PopResult {
 	spec := benchSpec
 	if smoke {
 		spec, reps = popSmokeSpec, 1
@@ -584,6 +586,9 @@ func measurePopulation(reps int, smoke bool, opts ...experiments.Option) *PopRes
 	}
 	best := float64(0)
 	p := sweep() // warm (and count) outside the scored reps
+	for i := 1; i < warmups; i++ {
+		sweep()
+	}
 	slices := len(p.Slices)
 	insts := p.TotalInsts
 	for r := 0; r < reps; r++ {

@@ -268,7 +268,8 @@ func cmdFig1(args []string) {
 
 // warmCache returns the process-wide snapshot cache behind
 // --warm-snapshots: a command that runs several sweeps (report, curves
-// over multiple figures) pays each (generation, slice) warmup once.
+// over multiple figures) pays each (generation, slice) warmup twice —
+// the second captures the pair's image — and forks every later sweep.
 var warmCache = sync.OnceValue(experiments.NewWarmCache)
 
 // mustPopRun is the no-flags spelling of experiments.Run for commands

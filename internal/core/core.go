@@ -155,14 +155,20 @@ func (s *Simulator) Reset() {
 // stateCodec deep-copies simulator state for warm forking. The walk is
 // rooted at the pipeline core, whose reachable graph — front end, memory
 // system, μop cache, power meter — is exactly the mutable state the
-// Reset() protocol inventories. Two things are skip-listed as installed
-// wiring rather than state, mirroring what Reset leaves in place: the
-// cycle tracer (observability) and the branch-target cipher (§V
-// security hardening; stateless — its context is POD and walked
-// normally).
+// Reset() protocol inventories. Skip-listed as installed wiring rather
+// than state, mirroring what Reset leaves in place: the cycle tracer
+// (observability), the branch-target cipher (§V security hardening;
+// stateless — its context is POD and walked normally), and the
+// predictor geometries a PredictorSpec points to. Those are immutable
+// configuration shared by every simulator built from one GenConfig, so
+// restoring them would write memory other goroutines read while they
+// construct simulators of the same generation.
 var stateCodec = snapshot.NewCodec(
 	reflect.TypeOf((*obs.Tracer)(nil)),
 	reflect.TypeOf((*branch.TargetCipher)(nil)).Elem(),
+	reflect.TypeOf((*branch.SHPConfig)(nil)),
+	reflect.TypeOf((*branch.TAGEConfig)(nil)),
+	reflect.TypeOf((*branch.ITTAGEConfig)(nil)),
 )
 
 // CaptureState deep-snapshots the simulator's mutable state — typically

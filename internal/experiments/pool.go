@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,12 +23,26 @@ import (
 // mid-slice) are discarded by the sweep and never returned, so the pool
 // only ever holds simulators that finished their last slice cleanly.
 //
+// The pool keeps idle simulators for at most maxPooledConfigs
+// configurations. When a simulator of one more configuration comes
+// back, the idle simulators of the configuration used (checked out or
+// returned) least recently are dropped, so a stream of one-shot what-if
+// configurations cannot grow a long-lived server's heap without bound.
+//
 // All methods are safe for concurrent use.
 type SimPool struct {
-	mu    sync.Mutex
-	idle  map[string][]*core.Simulator
-	built atomic.Uint64
+	mu   sync.Mutex
+	idle map[string][]*core.Simulator
+	// recent lists the keys of idle, least recently used first.
+	recent  []string
+	built   atomic.Uint64
+	evicted atomic.Uint64
 }
+
+// maxPooledConfigs is the number of configurations SimPool keeps idle
+// simulators for: the shipped generations plus one what-if, the working
+// set of a server sweeping one predictor-lab configuration at a time.
+var maxPooledConfigs = len(core.Generations()) + 1
 
 // NewSimPool builds an empty pool.
 func NewSimPool() *SimPool {
@@ -49,15 +64,38 @@ func (p *SimPool) take(key string) *core.Simulator {
 	}
 	sim := l[len(l)-1]
 	l[len(l)-1] = nil
-	p.idle[key] = l[:len(l)-1]
+	p.unlistLocked(key)
+	if len(l) == 1 {
+		delete(p.idle, key)
+	} else {
+		p.idle[key] = l[:len(l)-1]
+		p.recent = append(p.recent, key)
+	}
 	return sim
 }
 
-// give returns a healthy simulator to the pool.
+// give returns a healthy simulator to the pool. When key makes one
+// configuration too many, the least recently used configuration's idle
+// simulators are dropped.
 func (p *SimPool) give(key string, sim *core.Simulator) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.unlistLocked(key)
 	p.idle[key] = append(p.idle[key], sim)
+	p.recent = append(p.recent, key)
+	if len(p.recent) > maxPooledConfigs {
+		lru := p.recent[0]
+		p.recent = slices.Delete(p.recent, 0, 1)
+		p.evicted.Add(uint64(len(p.idle[lru])))
+		delete(p.idle, lru)
+	}
+}
+
+// unlistLocked removes key from the recency list.
+func (p *SimPool) unlistLocked(key string) {
+	if i := slices.Index(p.recent, key); i >= 0 {
+		p.recent = slices.Delete(p.recent, i, i+1)
+	}
 }
 
 // Get returns a simulator for cfg: a recycled instance already Reset()
@@ -82,9 +120,16 @@ func (p *SimPool) Put(sim *core.Simulator) {
 // Built counts simulator constructions performed on behalf of this pool
 // (cache misses, in effect). A steady-state server sees this stop
 // growing once every (worker, generation) pair is warm — the serve
-// tests assert exactly that.
+// tests assert exactly that — as long as it reuses no more than
+// maxPooledConfigs configurations.
 func (p *SimPool) Built() uint64 {
 	return p.built.Load()
+}
+
+// Evictions counts idle simulators dropped to keep the pool within
+// maxPooledConfigs configurations.
+func (p *SimPool) Evictions() uint64 {
+	return p.evicted.Load()
 }
 
 // Idle returns the number of simulators currently checked in.

@@ -85,7 +85,8 @@ func TestTAGEGoldenMPKI(t *testing.T) {
 
 // TestM7SweepBitIdenticalAcrossMachinery is the tentpole acceptance at
 // the experiments layer: one M7 sweep computed four ways — plain,
-// pooled+warm (twice, so the second pass forks warm snapshots), and as
+// pooled+warm (three times: the second pass captures warm snapshots and
+// the third forks them), and as
 // independently merged fabric-style shards — must yield byte-identical
 // SummaryDocs, and must leave the shipped generations' rows exactly as
 // a default sweep computes them.
@@ -106,10 +107,11 @@ func TestM7SweepBitIdenticalAcrossMachinery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pooled + warm-forked: two sweeps through one pool and warm cache;
-	// the second run replays every pair from snapshots.
+	// Pooled + warm-forked: three sweeps through one pool and warm cache.
+	// The first records each pair's first warmup, the second captures
+	// every pair's image, the third replays every pair from snapshots.
 	pool, warm := NewSimPool(), NewWarmCache()
-	for pass := 0; pass < 2; pass++ {
+	for pass := 0; pass < 3; pass++ {
 		p, err := Run(ctx, spec, WithGenerations(gens), WithSimPool(pool), WithWarmSnapshots(warm))
 		if err != nil {
 			t.Fatal(err)
@@ -119,8 +121,8 @@ func TestM7SweepBitIdenticalAcrossMachinery(t *testing.T) {
 			t.Fatalf("pooled/warm pass %d differs from plain M7 sweep", pass)
 		}
 	}
-	if warm.Stats().Forks == 0 {
-		t.Fatal("second pass never forked a warm snapshot — the warm path was not exercised")
+	if st := warm.Stats(); st.Captures == 0 || st.Forks == 0 {
+		t.Fatalf("captures %d, forks %d — the warm capture and fork paths were not both exercised", st.Captures, st.Forks)
 	}
 
 	// Fabric-style: plan shards over the extended genset, run each
@@ -195,9 +197,10 @@ func TestM7SweepSnapshotDigestsDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interleave both sweeps through one shared pool and warm cache.
+	// Interleave both sweeps through one shared pool and warm cache; the
+	// third pass forks the images the second captured.
 	pool, warm := NewSimPool(), NewWarmCache()
-	for pass := 0; pass < 2; pass++ {
+	for pass := 0; pass < 3; pass++ {
 		a, err := Run(ctx, spec, WithGenerations(tageGens), WithSimPool(pool), WithWarmSnapshots(warm))
 		if err != nil {
 			t.Fatal(err)
@@ -216,6 +219,9 @@ func TestM7SweepSnapshotDigestsDisjoint(t *testing.T) {
 		if string(wb) != string(rb) {
 			t.Fatalf("pass %d: shared-pool SHP M7 sweep diverged", pass)
 		}
+	}
+	if warm.Stats().Forks == 0 {
+		t.Fatal("no pass forked a warm snapshot — the fork path was not exercised")
 	}
 	m7 := len(tageGens) - 1
 	ta, _ := json.Marshal(refTage.Results[m7])

@@ -146,9 +146,10 @@ func WithSpanTracer(st *obs.SpanTracer) Option {
 
 // WithWarmSnapshots shares warmup-invariant work across generations,
 // reps, and sweeps through w: cached workload suites, pre-decoded μop
-// streams, and deep warm-state snapshots captured at each (generation,
-// slice) warmup boundary. With a populated cache a sweep restores each
-// pair's warm image and replays only the measured region — skipping the
+// streams, and deep warm-state snapshots captured at a (generation,
+// slice) pair's warmup boundary once the pair warms up a second time
+// (see WarmCache). With a populated cache a sweep restores each pair's
+// warm image and replays only the measured region — skipping the
 // warmup stepping entirely — with results bit-identical to cold
 // re-warming (the snapshot/fork bit-identity tests pin this). Slices
 // whose pair has a step hook installed, or no warmup prefix, run cold as
@@ -462,6 +463,9 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 					a := ropts
 					if warmable {
 						a.AfterWarmup = func() {
+							if !cfg.warm.admitCapture(genDigests[j.g], sl) {
+								return
+							}
 							img, err := s.CaptureState()
 							if err != nil {
 								cfg.warm.noteCaptureError()

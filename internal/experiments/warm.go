@@ -12,15 +12,17 @@ import (
 )
 
 // DefaultSnapshotBudget bounds a WarmCache's resident snapshot bytes
-// (LRU-evicted beyond it). Warm images run 2–9 MB per (generation,
-// slice); 2 GiB holds a few hundred pairs — several bench-scale
-// populations — while keeping a long-lived server's ceiling predictable.
+// (LRU-evicted beyond it). Zero-run-length encoded warm images run
+// 0.06–0.3 MB per (generation, slice); 2 GiB holds several thousand
+// pairs — many bench-scale populations — while keeping a long-lived
+// server's ceiling predictable.
 const DefaultSnapshotBudget = 2 << 30
 
 // warmCacheBounds keep the side indexes (suites, decode streams, digest
-// memos) from growing without limit in a long-lived process. Eviction
-// beyond a bound is arbitrary-entry, not LRU: these entries are cheap to
-// rebuild and the bounds are far above any steady working set.
+// memos, first-warmup sightings) from growing without limit in a
+// long-lived process. Eviction beyond a bound is arbitrary-entry, not
+// LRU: these entries are cheap to rebuild and the bounds are far above
+// any steady working set.
 const (
 	maxCachedSuites  = 8
 	maxCachedStreams = 4096
@@ -39,6 +41,12 @@ const (
 //   - warm-state snapshots (deep simulator images captured right after
 //     the warmup boundary), keyed by (generation config digest, slice
 //     content digest) — rep- and sweep-invariant for a fixed pair.
+//
+// A pair's image is captured on its second warmup, not its first
+// (second-touch admission): the first warmup only records the pair in a
+// bounded "seen once" set. A configuration swept once — a predictor-lab
+// what-if — then never pays for a capture nor holds an image, while a
+// recurring pair runs cold one extra time before it starts forking.
 //
 // Pass one WarmCache to experiments.Run via WithWarmSnapshots; a
 // long-lived process (exyserve, exybench reps) reuses it across sweeps.
@@ -62,6 +70,7 @@ type WarmCache struct {
 	lru     *list.List // front = most recent; values are *snapEntry
 	bytes   int64
 	budget  int64
+	seen    map[snapKey]struct{} // pairs warmed once, not yet captured
 
 	suiteHits, suiteMisses   atomic.Uint64
 	decodeHits, decodeMisses atomic.Uint64
@@ -69,6 +78,7 @@ type WarmCache struct {
 	captures, forks          atomic.Uint64
 	evictions, invalidations atomic.Uint64
 	captureErrors            atomic.Uint64
+	captureSkips             atomic.Uint64
 }
 
 type snapKey struct {
@@ -91,6 +101,7 @@ func NewWarmCache() *WarmCache {
 		snaps:   make(map[snapKey]*list.Element),
 		lru:     list.New(),
 		budget:  DefaultSnapshotBudget,
+		seen:    make(map[snapKey]struct{}),
 	}
 }
 
@@ -195,6 +206,29 @@ func (w *WarmCache) Snapshot(genDigest string, sl *trace.Slice) (*snapshot.Image
 	return nil, false
 }
 
+// admitCapture applies the second-touch rule at a pair's warmup
+// boundary: the pair's first warmup is only recorded (and counted as a
+// capture skip) and false returned; a later warmup of a recorded pair
+// returns true, and the caller captures and stores the image.
+func (w *WarmCache) admitCapture(genDigest string, sl *trace.Slice) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	key := snapKey{gen: genDigest, slice: w.digestLocked(sl)}
+	if _, ok := w.seen[key]; ok {
+		delete(w.seen, key)
+		return true
+	}
+	if len(w.seen) >= maxCachedDigests {
+		for k := range w.seen {
+			delete(w.seen, k)
+			break
+		}
+	}
+	w.seen[key] = struct{}{}
+	w.captureSkips.Add(1)
+	return false
+}
+
 // StoreSnapshot caches a freshly captured warm-state image, evicting
 // least-recently-used images beyond the byte budget.
 func (w *WarmCache) StoreSnapshot(genDigest string, sl *trace.Slice, img *snapshot.Image) {
@@ -251,12 +285,14 @@ func (w *WarmCache) noteFork() { w.forks.Add(1) }
 func (w *WarmCache) noteCaptureError() { w.captureErrors.Add(1) }
 
 // WarmStats is a point-in-time view of the cache's reuse efficiency.
+// CaptureSkips counts first warmups the second-touch rule did not
+// capture.
 type WarmStats struct {
 	SuiteHits, SuiteMisses   uint64
 	DecodeHits, DecodeMisses uint64
 	SnapshotHits, SnapshotMisses,
 	Captures, Forks,
-	Evictions, Invalidations, CaptureErrors uint64
+	Evictions, Invalidations, CaptureErrors, CaptureSkips uint64
 	SnapshotBytes   uint64
 	SnapshotEntries uint64
 }
@@ -272,7 +308,7 @@ func (w *WarmCache) Stats() WarmStats {
 		SnapshotHits: w.snapHits.Load(), SnapshotMisses: w.snapMisses.Load(),
 		Captures: w.captures.Load(), Forks: w.forks.Load(),
 		Evictions: w.evictions.Load(), Invalidations: w.invalidations.Load(),
-		CaptureErrors: w.captureErrors.Load(),
+		CaptureErrors: w.captureErrors.Load(), CaptureSkips: w.captureSkips.Load(),
 		SnapshotBytes: uint64(bytes), SnapshotEntries: uint64(entries),
 	}
 }

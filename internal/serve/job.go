@@ -177,6 +177,9 @@ func (r *JobRequest) resolve() (workload.SuiteSpec, error) {
 		if _, ok := core.GenByName(r.Gen); !ok {
 			return workload.SuiteSpec{}, fmt.Errorf("unknown generation %q", r.Gen)
 		}
+		if _, _, err := workload.ParseSliceName(r.Slice); err != nil {
+			return workload.SuiteSpec{}, err
+		}
 	} else if r.Gen != "" || r.Slice != "" {
 		return workload.SuiteSpec{}, fmt.Errorf("gen/slice are only valid for kind \"slice\"")
 	}

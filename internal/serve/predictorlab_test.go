@@ -163,8 +163,8 @@ func canonicalDoc(t *testing.T, raw json.RawMessage) []byte {
 // population sweep submitted via POST /v1/jobs returns a SummaryDoc
 // with all of M1..M6 plus the hypothetical generation, byte-identical
 // whether the server ran it single-process, reran it on pooled
-// simulators with warm snapshots, or sharded it across a fabric
-// worker.
+// simulators capturing and then forking warm snapshots, or sharded it
+// across a fabric worker.
 func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 	spec := serveSpec.Normalize()
 	gens, err := experiments.HypotheticalGens("M6", "M7", m7Predictor())
@@ -180,14 +180,16 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Paths 1 and 2: single-process cold, then warm-pooled rerun on the
-	// same server (job result cache off, so the resubmit recomputes
-	// through the shared pool and warm snapshot cache).
+	// Paths 1 and 2: single-process cold, then warm-pooled reruns on the
+	// same server (job result cache off, so each resubmit recomputes
+	// through the shared pool and warm snapshot cache): the first rerun
+	// is each pair's second warmup and captures its image, the second
+	// forks it.
 	s := New(Config{Workers: 1, CacheEntries: -1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, label := range []string{"single-process", "warm-pooled rerun"} {
+	for _, label := range []string{"single-process", "warm-capturing rerun", "warm-forked rerun"} {
 		resp, v := postJob(t, ts, m7Request())
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("%s submit: %d", label, resp.StatusCode)
@@ -200,8 +202,8 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 			t.Fatalf("%s result differs from experiments.Run reference:\n want %s\n got  %s", label, want, got)
 		}
 	}
-	if s.warm.Stats().Forks == 0 {
-		t.Fatal("rerun never forked a warm snapshot — the warm path was not exercised")
+	if st := s.warm.Stats(); st.Captures == 0 || st.Forks == 0 {
+		t.Fatalf("captures %d, forks %d — the warm capture and fork paths were not both exercised", st.Captures, st.Forks)
 	}
 
 	// Path 3: a separate server whose sweep routes through the fabric to

@@ -276,11 +276,13 @@ func newServer(cfg Config) *Server {
 	sc.Histogram("heartbeat_gap_us", s.heartbeat)
 	pc := sc.Child("pool")
 	pc.Counter("sims_built", s.pool.Built)
+	pc.Counter("evictions", s.pool.Evictions)
 	pc.Gauge("idle", func() float64 { return float64(s.pool.Idle()) })
 	// Warm-cache reuse efficiency: decode_hits/misses show how often a
 	// sweep reused a compiled μop stream, snapshot_forks vs captures how
 	// often a (generation, slice) pair skipped its warmup by forking the
-	// stored warm image.
+	// stored warm image, capture_skips how many first warmups the
+	// second-touch rule left uncaptured.
 	wc := sc.Child("warm")
 	warmStat := func(f func(experiments.WarmStats) uint64) func() uint64 {
 		return func() uint64 { return f(s.warm.Stats()) }
@@ -296,6 +298,7 @@ func newServer(cfg Config) *Server {
 	wc.Counter("snapshot_evictions", warmStat(func(w experiments.WarmStats) uint64 { return w.Evictions }))
 	wc.Counter("snapshot_invalidations", warmStat(func(w experiments.WarmStats) uint64 { return w.Invalidations }))
 	wc.Counter("capture_errors", warmStat(func(w experiments.WarmStats) uint64 { return w.CaptureErrors }))
+	wc.Counter("capture_skips", warmStat(func(w experiments.WarmStats) uint64 { return w.CaptureSkips }))
 	wc.Gauge("snapshot_bytes", func() float64 { return float64(s.warm.Stats().SnapshotBytes) })
 	wc.Gauge("snapshot_entries", func() float64 { return float64(s.warm.Stats().SnapshotEntries) })
 	// Fabric health: worker membership, lease churn (expiries and
@@ -542,7 +545,7 @@ func (s *Server) ShardRunner() fabric.RunFunc {
 func (s *Server) runPopulationLocal(job *Job) (json.RawMessage, error) {
 	opts := []experiments.Option{
 		experiments.WithSimPool(s.pool),
-		// One process-lifetime cache: the first job on a spec captures
+		// One process-lifetime cache: the second job on a spec captures
 		// warm-state snapshots, every later job (and every rep of a
 		// sweep) forks from them instead of re-warming.
 		experiments.WithWarmSnapshots(s.warm),

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"exysim/internal/branch"
 	"exysim/internal/core"
 	"exysim/internal/experiments"
 	"exysim/internal/workload"
@@ -435,8 +437,12 @@ func TestCacheHitSkipsQueue(t *testing.T) {
 
 // TestSliceJobMatchesDirectRun pins the single-slice path: the served
 // result must be bit-identical to core.RunSlice on a fresh simulator.
+// It also pins the pool's steady state: once built, M1..M6 simulators
+// are reused, even when one-shot M7 population jobs run in between.
 func TestSliceJobMatchesDirectRun(t *testing.T) {
-	s := New(Config{Workers: 1})
+	// One sweep goroutine per population job, so each job checks out
+	// exactly one simulator per generation.
+	s := New(Config{Workers: 1, SweepParallelism: 1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -479,23 +485,63 @@ func TestSliceJobMatchesDirectRun(t *testing.T) {
 	if got := s.pool.Built(); got != built {
 		t.Fatalf("second slice job constructed a simulator: built %d → %d", built, got)
 	}
+
+	// Interleave one-shot M7 population jobs with M1..M6 slice jobs. More
+	// one-shot configurations pass through than the pool keeps; after the
+	// first job builds M1..M6, only each job's own M7 is ever built.
+	shipped := core.Generations()
+	oneShots := len(shipped) + 3
+	for i := 0; i < oneShots; i++ {
+		pop := specRequest(workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 1_000, WarmupFrac: 0.25, Seed: 0xE59})
+		pop.M7 = &M7Request{Base: "M1", Name: fmt.Sprintf("M7.%d", i), Predictor: branch.SHPSpec(branch.M1SHPConfig())}
+		_, pv := postJob(t, ts, pop)
+		if w := waitJob(t, ts, pv.ID); w.Status != StatusDone {
+			t.Fatalf("one-shot M7 job %d: %s (%s)", i, w.Status, w.Error)
+		}
+		if i == 0 {
+			built = s.pool.Built()
+		}
+		sl := req
+		sl.Gen, sl.Slice = shipped[i%len(shipped)].Name, fmt.Sprintf("specint/%d", i)
+		_, sv := postJob(t, ts, sl)
+		if w := waitJob(t, ts, sv.ID); w.Status != StatusDone {
+			t.Fatalf("slice job %s %s: %s (%s)", sl.Gen, sl.Slice, w.Status, w.Error)
+		}
+	}
+	if got, want := s.pool.Built()-built, uint64(oneShots-1); got != want {
+		t.Fatalf("after the first one-shot job the pool built %d simulators, want %d (one M7 per job)", got, want)
+	}
+	if s.pool.Evictions() == 0 {
+		t.Fatal("one-shot M7 configurations never left the pool")
+	}
 }
 
-// TestBadSliceNameFailsJob covers execution-time failure: an
-// unresolvable slice name fails the job with the error recorded.
+// TestBadSliceNameFailsJob: a slice name workload.ByName cannot
+// resolve — unknown family, malformed index, negative index — is
+// rejected at submit with 400, and no job is created.
 func TestBadSliceNameFailsJob(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	req := specRequest(serveSpec)
-	req.Kind = "slice"
-	req.Gen, req.Slice = "M1", "nosuch/99"
-	_, v := postJob(t, ts, req)
-	done := waitJob(t, ts, v.ID)
-	if done.Status != StatusFailed || done.Error == "" {
-		t.Fatalf("bad slice job: %+v", done)
+	for _, name := range []string{"nosuch/99", "web/x1", "web/-1"} {
+		req := specRequest(serveSpec)
+		req.Kind = "slice"
+		req.Gen, req.Slice = "M1", name
+		resp, _ := postJob(t, ts, req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("slice %q: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if m := metrics(t, ts); m["serve.jobs_submitted"] != 0 {
+		t.Fatalf("jobs_submitted = %v, want 0", m["serve.jobs_submitted"])
+	}
+	s.mu.Lock()
+	tracked := len(s.jobs)
+	s.mu.Unlock()
+	if tracked != 0 {
+		t.Fatalf("jobs tracked = %d, want 0", tracked)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"exysim/internal/branch"
 	"exysim/internal/obs"
 )
 
@@ -179,4 +181,51 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.w.Write(p)
+}
+
+// TestAdmissionMetricsExported: /metrics exports the second-touch
+// capture skips and the pool's evictions, in the Prometheus and the
+// JSON form, with the counts the warm cache and the pool hold. Two
+// one-shot M7 jobs skip every first warmup, and the second job's M7
+// pushes the first one's idle simulator out of the pool.
+func TestAdmissionMetricsExported(t *testing.T) {
+	s := New(Config{Workers: 1, SweepParallelism: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 2; i++ {
+		req := specRequest(serveSpec)
+		req.M7 = &M7Request{Base: "M1", Name: fmt.Sprintf("M7.%d", i), Predictor: branch.SHPSpec(branch.M1SHPConfig())}
+		_, v := postJob(t, ts, req)
+		if done := waitJob(t, ts, v.ID); done.Status != StatusDone {
+			t.Fatalf("job %d: %s (%s)", i, done.Status, done.Error)
+		}
+	}
+	skips, evictions := s.warm.Stats().CaptureSkips, s.pool.Evictions()
+	if skips == 0 || evictions != 1 {
+		t.Fatalf("capture skips %d, pool evictions %d; want skips and one eviction", skips, evictions)
+	}
+
+	m := metrics(t, ts)
+	if m["serve.warm.capture_skips"] != float64(skips) || m["serve.pool.evictions"] != float64(evictions) {
+		t.Fatalf("JSON metrics: capture_skips %v, evictions %v; want %d, %d",
+			m["serve.warm.capture_skips"], m["serve.pool.evictions"], skips, evictions)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"# TYPE serve_warm_capture_skips counter",
+		fmt.Sprintf("serve_warm_capture_skips %d\n", skips),
+		"# TYPE serve_pool_evictions counter",
+		"serve_pool_evictions 1\n",
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Fatalf("prometheus exposition missing %q:\n%s", want, text)
+		}
+	}
 }

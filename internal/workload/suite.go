@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"exysim/internal/trace"
@@ -128,18 +130,37 @@ func CBPSuite(n, instsPerSlice, maxDist int, seed uint64) []*trace.Slice {
 	return out
 }
 
+// ParseSliceName splits a "family/idx" slice name, e.g. "web/003", into
+// one of the families Suite draws from and a decimal index ≥ 0. It is
+// the whole name rule of ByName, so a server can reject a name at
+// submit that ByName would fail on later.
+func ParseSliceName(name string) (Family, int, error) {
+	famName, idxText, _ := strings.Cut(name, "/")
+	for _, wf := range defaultFamilies() {
+		if wf.fam.Name != famName {
+			continue
+		}
+		idx, err := strconv.Atoi(idxText)
+		if err != nil {
+			return Family{}, 0, fmt.Errorf("workload: slice %q: index %q is not a decimal integer", name, idxText)
+		}
+		if idx < 0 {
+			return Family{}, 0, fmt.Errorf("workload: slice %q: negative index", name)
+		}
+		return wf.fam, idx, nil
+	}
+	return Family{}, 0, fmt.Errorf("workload: unknown slice %q (families: %s)", name, strings.Join(Families(), ", "))
+}
+
 // ByName builds one slice from "family/idx" syntax, e.g. "web/003";
 // useful for CLI debugging of a single slice.
 func ByName(name string, spec SuiteSpec) (*trace.Slice, error) {
-	warm := int(float64(spec.InstsPerSlice) * spec.WarmupFrac)
-	budget := spec.InstsPerSlice + warm
-	for _, wf := range defaultFamilies() {
-		var idx int
-		if n, err := fmt.Sscanf(name, wf.fam.Name+"/%d", &idx); err == nil && n == 1 {
-			return wf.fam.Gen(idx, budget, warm, spec.Seed), nil
-		}
+	fam, idx, err := ParseSliceName(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("workload: unknown slice %q", name)
+	warm := int(float64(spec.InstsPerSlice) * spec.WarmupFrac)
+	return fam.Gen(idx, spec.InstsPerSlice+warm, warm, spec.Seed), nil
 }
 
 // Families lists the family names available, for CLI help.

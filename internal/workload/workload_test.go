@@ -231,8 +231,16 @@ func TestByName(t *testing.T) {
 	if s.Suite != "web" {
 		t.Fatalf("suite=%s", s.Suite)
 	}
-	if _, err := ByName("nosuch/001", TinySpec); err == nil {
-		t.Fatal("expected error for unknown family")
+	// Every slice Suite generates resolves by its own name.
+	for _, sl := range Suite(SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 1, Seed: 1}) {
+		if _, _, err := ParseSliceName(sl.Name); err != nil {
+			t.Fatalf("suite slice %s: %v", sl.Name, err)
+		}
+	}
+	for _, bad := range []string{"nosuch/001", "web", "web/", "web/x1", "web/3x", "web/-1", "cbp/0", "/1"} {
+		if _, err := ByName(bad, TinySpec); err == nil {
+			t.Errorf("ByName(%q): want error", bad)
+		}
 	}
 }
 

@@ -91,8 +91,9 @@ func TestWarmForkMatchesColdRerun(t *testing.T) {
 
 // TestRunWithWarmSnapshotsBitIdentical pins the sweep-level contract:
 // experiments.Run with WithWarmSnapshots must produce bit-identical
-// Results to a plain cold sweep — on the first pass (which captures
-// snapshots while running cold) and on a second pass over the populated
+// Results to a plain cold sweep on every pass — the first (which only
+// records each pair's first warmup), the second (which captures each
+// pair's image while running cold) and the third over the populated
 // cache (which forks every pair from its stored image).
 func TestRunWithWarmSnapshotsBitIdentical(t *testing.T) {
 	spec := workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 8_000, WarmupFrac: 0.25, Seed: 0xE59}
@@ -107,29 +108,26 @@ func TestRunWithWarmSnapshotsBitIdentical(t *testing.T) {
 	}
 
 	warm := experiments.NewWarmCache()
-	first, err := experiments.Run(ctx, spec, experiments.WithWarmSnapshots(warm))
-	if err != nil {
-		t.Fatalf("first warm sweep: %v", err)
-	}
-	second, err := experiments.Run(ctx, spec, experiments.WithWarmSnapshots(warm))
-	if err != nil {
-		t.Fatalf("second warm sweep: %v", err)
-	}
-
-	if !reflect.DeepEqual(first.Results, cold.Results) {
-		t.Errorf("capture pass differs from cold sweep")
-	}
-	if !reflect.DeepEqual(second.Results, cold.Results) {
-		t.Errorf("fork pass differs from cold sweep")
+	for _, pass := range []string{"first-warmup", "capture", "fork"} {
+		p, err := experiments.Run(ctx, spec, experiments.WithWarmSnapshots(warm))
+		if err != nil {
+			t.Fatalf("%s sweep: %v", pass, err)
+		}
+		if !reflect.DeepEqual(p.Results, cold.Results) {
+			t.Errorf("%s pass differs from cold sweep", pass)
+		}
 	}
 
 	st := warm.Stats()
 	pairs := uint64(len(cold.Gens) * len(cold.Slices))
+	if st.CaptureSkips != pairs {
+		t.Errorf("capture skips = %d, want every pair's first warmup skipped (%d)", st.CaptureSkips, pairs)
+	}
 	if st.Captures != pairs {
 		t.Errorf("captures = %d, want one per pair (%d)", st.Captures, pairs)
 	}
 	if st.Forks != pairs {
-		t.Errorf("forks = %d, want every pair forked on the second pass (%d)", st.Forks, pairs)
+		t.Errorf("forks = %d, want every pair forked on the third pass (%d)", st.Forks, pairs)
 	}
 	if st.CaptureErrors != 0 {
 		t.Errorf("capture errors: %d", st.CaptureErrors)
