@@ -64,9 +64,12 @@ snapfork-smoke:
 
 # fabric-smoke races the distributed sweep fabric end to end: shard
 # planning/merge bit-identity under random partitions, the coordinator's
-# lease/steal/cache protocol, and a 3-worker HTTP sweep with a worker
-# killed mid-sweep whose lease must be stolen and whose merged result
-# must stay byte-identical to a single-process run.
+# lease/steal/cache protocol, parked leases (woken by a submit and by
+# every requeue, bounded waits, a worker that never spins, drain
+# releasing parked leases in process and over HTTP), and a 3-worker
+# HTTP sweep with a worker killed mid-sweep whose lease must be stolen
+# and whose merged result must stay byte-identical to a single-process
+# run.
 fabric-smoke:
 	$(GO) test -race -run 'TestFabric|TestMergeShards|TestPlanShards' \
 		./internal/fabric/... ./internal/serve/ ./internal/experiments/

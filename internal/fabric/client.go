@@ -3,12 +3,17 @@ package fabric
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
 )
+
+// requestTimeout bounds one fabric request, on top of however long a
+// lease was asked to wait for work.
+const requestTimeout = 2 * time.Minute
 
 // Client implements Coord over the coordinator's HTTP fabric
 // endpoints. The transport keeps connections alive and reuses them
@@ -29,11 +34,10 @@ func NewClient(base string) *Client {
 	return &Client{
 		base: base,
 		http: &http.Client{
-			Timeout: 2 * time.Minute,
 			Transport: &http.Transport{
 				// A worker talks to exactly one coordinator: let every
 				// request reuse the same warm connections instead of
-				// paying a handshake per poll.
+				// paying a handshake per request.
 				MaxIdleConns:        8,
 				MaxIdleConnsPerHost: 8,
 				IdleConnTimeout:     90 * time.Second,
@@ -50,12 +54,18 @@ func (c *Client) Join(req JoinRequest) (JoinDoc, error) {
 }
 
 // Lease implements Coord; a 204 from the coordinator becomes a nil
-// grant.
-func (c *Client) Lease(workerID string) (*Grant, error) {
+// grant. The request carries ctx, so canceling it abandons a parked
+// lease, and its timeout starts counting only after the wait.
+func (c *Client) Lease(ctx context.Context, workerID string, wait time.Duration) (*Grant, error) {
+	req := LeaseRequest{WorkerID: workerID}
+	if wait > 0 {
+		// Round up, so a sub-millisecond wait still waits.
+		req.WaitMillis = int64((wait + time.Millisecond - 1) / time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(ctx, max(wait, 0)+requestTimeout)
+	defer cancel()
 	var g Grant
-	ok, err := c.postMaybe("/v1/fabric/lease", struct {
-		WorkerID string `json:"worker_id"`
-	}{workerID}, &g)
+	ok, err := c.do(ctx, "/v1/fabric/lease", req, &g, false)
 	if err != nil || !ok {
 		return nil, err
 	}
@@ -80,20 +90,18 @@ func (c *Client) Leave(req LeaveRequest) error {
 // post sends body as JSON (gzip-compressed when gz) and decodes the
 // response into out when out is non-nil.
 func (c *Client) post(path string, body, out any, gz bool) error {
-	ok, err := c.do(path, body, out, gz)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
+	defer cancel()
+	ok, err := c.do(ctx, path, body, out, gz)
 	if err == nil && !ok && out != nil {
 		return fmt.Errorf("fabric: %s returned no body", path)
 	}
 	return err
 }
 
-// postMaybe is post for endpoints where 204 (no content) is a valid
-// answer; it reports whether a body was decoded.
-func (c *Client) postMaybe(path string, body, out any) (bool, error) {
-	return c.do(path, body, out, false)
-}
-
-func (c *Client) do(path string, body, out any, gz bool) (bool, error) {
+// do sends one request and reports whether a response body was decoded
+// into out; a 204 (no content) answers false with no error.
+func (c *Client) do(ctx context.Context, path string, body, out any, gz bool) (bool, error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
 		return false, err
@@ -110,7 +118,7 @@ func (c *Client) do(path string, body, out any, gz bool) (bool, error) {
 		}
 		payload = &buf
 	}
-	req, err := http.NewRequest(http.MethodPost, c.base+path, payload)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, payload)
 	if err != nil {
 		return false, err
 	}

@@ -29,8 +29,11 @@ type Config struct {
 	// EvictAfter is how long a worker may go silent before it is
 	// dropped from the membership table. Default 3×LeaseTTL.
 	EvictAfter time.Duration
-	// Poll is the cadence workers are told to poll for leases at, and
-	// the coordinator's own reap/fallback tick. Default 50ms.
+	// Poll is the coordinator's own tick while a sweep is in flight: it
+	// reaps expired leases (waking parked leases for the requeued
+	// shards) and runs the local fallback when no worker is live.
+	// Workers do not poll; their leases park until work arrives.
+	// Default 50ms.
 	Poll time.Duration
 	// ShardSlices caps the slice-range width of a planned shard.
 	// Default 8.
@@ -100,6 +103,10 @@ type Stats struct {
 	CacheMisses    uint64
 	CacheEvictions uint64
 	CacheEntries   int
+
+	// LeaseWaiters is the number of Lease calls parked right now,
+	// waiting for a shard to enter the queue.
+	LeaseWaiters int
 
 	// ShardWall summarizes wall seconds per completed shard as reported
 	// at Complete; WorkerWall is the merge of the cumulative summaries
@@ -191,6 +198,13 @@ type Coordinator struct {
 	sweepSeq  uint64
 	localWall stats.Summary
 
+	// wake is closed, and cleared, whenever a shard enters the queue or
+	// the coordinator starts draining; parked leases wait on it. It is
+	// made lazily by the first lease to park after the last wake.
+	wake         chan struct{}
+	leaseWaiters int
+	draining     bool
+
 	joined, evicted    uint64
 	sweepsSubmitted    uint64
 	shardsPlanned      uint64
@@ -241,16 +255,80 @@ func (c *Coordinator) Join(req JoinRequest) (JoinDoc, error) {
 	return JoinDoc{
 		WorkerID:       id,
 		LeaseTTLMillis: c.cfg.LeaseTTL.Milliseconds(),
-		PollMillis:     c.cfg.Poll.Milliseconds(),
 	}, nil
 }
 
-// Lease implements Coord: pop the oldest pending shard, or duplicate a
-// straggler's lease if the queue is empty and a shard has been leased
-// longer than StealAge.
-func (c *Coordinator) Lease(workerID string) (*Grant, error) {
+// Lease implements Coord. With no work to grant and a positive wait,
+// the call parks for up to min(wait, LeaseTTL/3) without holding the
+// coordinator lock, and every time a shard enters the queue it retries
+// the grant. It returns nil when the wait ends, ctx is done, or the
+// coordinator is draining.
+func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Duration) (*Grant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	g, err := c.leaseLocked(workerID)
+	if g != nil || err != nil || wait <= 0 || c.draining {
+		return g, err
+	}
+	timer := time.NewTimer(min(wait, c.cfg.LeaseTTL/3))
+	defer timer.Stop()
+	c.leaseWaiters++
+	defer func() { c.leaseWaiters-- }() // runs before the deferred Unlock
+	for !c.draining {
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timer.C:
+			c.mu.Lock()
+			return nil, nil
+		case <-ctx.Done():
+			c.mu.Lock()
+			return nil, nil
+		}
+		c.mu.Lock()
+		// Another parked lease may have taken the shard: park again
+		// until this call's own deadline.
+		if g, err := c.leaseLocked(workerID); g != nil || err != nil {
+			return g, err
+		}
+	}
+	return nil, nil
+}
+
+// Drain stops leases from parking: parked leases return at once and
+// later ones answer without waiting. Grants are unaffected, so sweeps
+// already submitted still finish on their workers.
+func (c *Coordinator) Drain() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.draining = true
+	c.wakeLocked()
+}
+
+// wakeLocked wakes every parked lease.
+func (c *Coordinator) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
+}
+
+// enqueueLocked appends shard i of sw to the queue and wakes the parked
+// leases; every path that queues a shard goes through it.
+func (c *Coordinator) enqueueLocked(sw *sweep, i int) {
+	c.queue = append(c.queue, shardRef{sw, i})
+	c.wakeLocked()
+}
+
+// leaseLocked pops the oldest pending shard, or duplicates a
+// straggler's lease if the queue is empty and a shard has been leased
+// longer than StealAge. A nil grant means there is no work for
+// workerID right now.
+func (c *Coordinator) leaseLocked(workerID string) (*Grant, error) {
 	now := time.Now()
 	w := c.workers[workerID]
 	if w == nil {
@@ -363,7 +441,7 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		}
 		if len(sw.leases[req.Shard]) == 0 {
 			sw.state[req.Shard] = shardPending
-			c.queue = append(c.queue, shardRef{sw, req.Shard})
+			c.enqueueLocked(sw, req.Shard)
 		}
 		return nil
 	}
@@ -455,7 +533,7 @@ func (c *Coordinator) releaseWorkerLocked(workerID string) {
 			c.dropLeasesLocked(sw, i, workerID)
 			if had && len(sw.leases[i]) == 0 {
 				sw.state[i] = shardPending
-				c.queue = append(c.queue, shardRef{sw, i})
+				c.enqueueLocked(sw, i)
 			}
 		}
 	}
@@ -463,8 +541,8 @@ func (c *Coordinator) releaseWorkerLocked(workerID string) {
 
 // reapLocked lazily expires leases whose holders stopped heartbeating
 // and evicts workers silent past EvictAfter. Called from Lease and the
-// Submit tick, so a dead worker's shards return to the queue within one
-// poll interval of its lease expiring.
+// Submit tick, so a dead worker's shards return to the queue, and wake
+// the parked leases, within one Poll tick of its lease expiring.
 func (c *Coordinator) reapLocked(now time.Time) {
 	for id, w := range c.workers {
 		if now.Sub(w.lastSeen) > c.cfg.EvictAfter {
@@ -499,7 +577,7 @@ func (c *Coordinator) reapLocked(now time.Time) {
 			if len(kept) == 0 {
 				sw.state[i] = shardPending
 				sw.expired[i] = true
-				c.queue = append(c.queue, shardRef{sw, i})
+				c.enqueueLocked(sw, i)
 			}
 		}
 	}
@@ -578,7 +656,7 @@ func (c *Coordinator) Submit(ctx context.Context, req SubmitReq) (*experiments.P
 		if doc := c.cache.get(sw.digests[i]); doc != nil {
 			c.finishShardLocked(sw, i, doc, 0)
 		} else {
-			c.queue = append(c.queue, shardRef{sw, i})
+			c.enqueueLocked(sw, i)
 		}
 	}
 	done := sw.remaining == 0
@@ -700,6 +778,7 @@ func (c *Coordinator) Stats() Stats {
 		CacheMisses:        c.cache.misses,
 		CacheEvictions:     c.cache.evictions,
 		CacheEntries:       c.cache.len(),
+		LeaseWaiters:       c.leaseWaiters,
 		ShardWall:          c.localWall,
 	}
 	for _, w := range c.workers {

@@ -131,6 +131,23 @@ func fakeDoc(g *Grant, gens []core.GenConfig) *experiments.ShardDoc {
 	}
 }
 
+// leaseWithin leases for workerID with parked waits until a grant
+// arrives, failing the test after budget.
+func leaseWithin(t *testing.T, c *Coordinator, workerID string, budget time.Duration) *Grant {
+	t.Helper()
+	for deadline := time.Now().Add(budget); time.Now().Before(deadline); {
+		g, err := c.Lease(context.Background(), workerID, time.Until(deadline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g != nil {
+			return g
+		}
+	}
+	t.Fatalf("worker %s got no lease within %v", workerID, budget)
+	return nil
+}
+
 // TestFabricLeaseExpiryStealAndDuplicate exercises the failure
 // protocol without simulating: worker A leases a shard and goes
 // silent, the lease expires, worker B steals and completes it, and A's
@@ -165,25 +182,13 @@ func TestFabricLeaseExpiryStealAndDuplicate(t *testing.T) {
 	}
 
 	// A takes one shard and goes silent.
-	var ga *Grant
-	for i := 0; i < 200 && ga == nil; i++ {
-		ga, err = c.Lease(a.WorkerID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ga == nil {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if ga == nil {
-		t.Fatal("worker A never got a lease")
-	}
+	ga := leaseWithin(t, c, a.WorkerID, 10*time.Second)
 	time.Sleep(60 * time.Millisecond) // past LeaseTTL with no heartbeat
 
 	// B drains the whole sweep, including A's expired shard.
 	gotStolen := false
 	for {
-		g, err := c.Lease(b.WorkerID)
+		g, err := c.Lease(context.Background(), b.WorkerID, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,8 +243,11 @@ func TestFabricShardErrorsFailSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		g, err := c.Lease(w.WorkerID)
+	// Parked leases under a deadline: under -race with other packages
+	// testing in parallel, Submit can take several hundred ms to
+	// generate the suite and queue its shards.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		g, err := c.Lease(context.Background(), w.WorkerID, 100*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +262,6 @@ func TestFabricShardErrorsFailSweep(t *testing.T) {
 				}
 				return
 			default:
-				time.Sleep(2 * time.Millisecond)
 				continue
 			}
 		}
@@ -271,7 +278,7 @@ func TestFabricMembershipErrors(t *testing.T) {
 	if _, err := c.Join(JoinRequest{Name: "x", GensetDigest: "bogus"}); !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("join with version skew: %v", err)
 	}
-	if _, err := c.Lease("ghost"); !errors.Is(err, ErrUnknownWorker) {
+	if _, err := c.Lease(context.Background(), "ghost", 0); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("lease from unknown worker: %v", err)
 	}
 	if err := c.Heartbeat(HeartbeatRequest{WorkerID: "ghost"}); !errors.Is(err, ErrUnknownWorker) {
@@ -291,29 +298,19 @@ func TestFabricLeaveRequeues(t *testing.T) {
 	go c.Submit(context.Background(), SubmitReq{Spec: spec})
 
 	a, _ := c.Join(JoinRequest{Name: "a"})
-	var g *Grant
-	for i := 0; i < 200 && g == nil; i++ {
-		g, _ = c.Lease(a.WorkerID)
-		if g == nil {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if g == nil {
-		t.Fatal("no lease granted")
-	}
+	g := leaseWithin(t, c, a.WorkerID, 10*time.Second)
 	if err := c.Leave(LeaveRequest{WorkerID: a.WorkerID}); err != nil {
 		t.Fatal(err)
 	}
 
 	b, _ := c.Join(JoinRequest{Name: "b"})
 	seen := false
-	for i := 0; i < 200 && !seen; i++ {
-		gb, err := c.Lease(b.WorkerID)
+	for deadline := time.Now().Add(10 * time.Second); !seen && time.Now().Before(deadline); {
+		gb, err := c.Lease(context.Background(), b.WorkerID, 100*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gb == nil {
-			time.Sleep(2 * time.Millisecond)
 			continue
 		}
 		if gb.Shard == g.Shard {

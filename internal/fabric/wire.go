@@ -14,7 +14,9 @@
 package fabric
 
 import (
+	"context"
 	"errors"
+	"time"
 
 	"exysim/internal/core"
 	"exysim/internal/experiments"
@@ -58,7 +60,14 @@ type JoinRequest struct {
 type JoinDoc struct {
 	WorkerID       string `json:"worker_id"`
 	LeaseTTLMillis int64  `json:"lease_ttl_millis"`
-	PollMillis     int64  `json:"poll_millis"`
+}
+
+// LeaseRequest is the body of POST /v1/fabric/lease. WaitMillis is how
+// long the coordinator may hold the request open waiting for work; a
+// missing or zero wait answers at once.
+type LeaseRequest struct {
+	WorkerID   string `json:"worker_id"`
+	WaitMillis int64  `json:"wait_millis,omitempty"`
 }
 
 // Grant is one leased work unit: run shard Shard of the sweep's spec
@@ -107,10 +116,10 @@ type CompleteRequest struct {
 	Error       string                `json:"error,omitempty"`
 }
 
-// HeartbeatRequest keeps a worker's membership and leases alive between
-// lease polls, and carries the worker's cumulative shard wall-time
-// summary; the coordinator merges the per-worker summaries
-// (stats.Summary.Merge) into the fleet view on /metrics.
+// HeartbeatRequest keeps a worker's membership and leases alive while
+// it computes or waits for work, and carries the worker's cumulative
+// shard wall-time summary; the coordinator merges the per-worker
+// summaries (stats.Summary.Merge) into the fleet view on /metrics.
 type HeartbeatRequest struct {
 	WorkerID  string        `json:"worker_id"`
 	ShardWall stats.Summary `json:"shard_wall"`
@@ -127,9 +136,11 @@ type LeaveRequest struct {
 type Coord interface {
 	// Join registers the worker and returns its ID and lease timing.
 	Join(req JoinRequest) (JoinDoc, error)
-	// Lease requests one work unit; a nil grant means no work is
-	// available right now (poll again after JoinDoc.PollMillis).
-	Lease(workerID string) (*Grant, error)
+	// Lease requests one work unit. With no work queued it waits up to
+	// wait (at most a third of the lease TTL; 0 answers at once) for a
+	// shard to enter the queue. A nil grant means the wait ended, ctx
+	// is done, or the coordinator is draining.
+	Lease(ctx context.Context, workerID string, wait time.Duration) (*Grant, error)
 	// Complete reports a shard result (or failure).
 	Complete(req CompleteRequest) error
 	// Heartbeat extends the worker's membership and leases.

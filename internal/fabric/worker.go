@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -23,7 +24,6 @@ type Worker struct {
 	mu   sync.Mutex
 	id   string
 	ttl  time.Duration
-	poll time.Duration
 	wall stats.Summary
 }
 
@@ -54,31 +54,36 @@ func (w *Worker) Run(ctx context.Context) error {
 		hbDone.Wait()
 	}()
 
+	// idle counts unproductive leases in a row: errors, and empty
+	// leases that came back before their wait was up (a coordinator
+	// that does not park leases, or one that is draining). Each one
+	// backs off, so the loop never spins.
+	idle := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		grant, err := w.coord.Lease(w.workerID())
-		if err == ErrUnknownWorker {
+		// A third of the TTL: the most the coordinator grants.
+		wait := w.leaseTTL() / 3
+		start := time.Now()
+		grant, err := w.coord.Lease(ctx, w.workerID(), wait)
+		switch {
+		case errors.Is(err, ErrUnknownWorker):
 			// Evicted (a long GC pause, a partition): rejoin and retry.
 			if err := w.join(ctx); err != nil {
 				return err
 			}
-			continue
-		}
-		if err != nil {
-			if !w.sleep(ctx, robust.Backoff(1)+w.pollInterval()) {
+		case grant != nil:
+			idle = 0
+			w.work(ctx, grant)
+		case err == nil && time.Since(start) >= wait:
+			idle = 0 // the whole wait passed with no work: park again
+		default:
+			idle++
+			if !w.sleep(ctx, robust.Backoff(idle)) {
 				return ctx.Err()
 			}
-			continue
 		}
-		if grant == nil {
-			if !w.sleep(ctx, w.pollInterval()) {
-				return ctx.Err()
-			}
-			continue
-		}
-		w.work(ctx, grant)
 	}
 }
 
@@ -129,7 +134,6 @@ func (w *Worker) join(ctx context.Context) error {
 			w.mu.Lock()
 			w.id = doc.WorkerID
 			w.ttl = time.Duration(doc.LeaseTTLMillis) * time.Millisecond
-			w.poll = time.Duration(doc.PollMillis) * time.Millisecond
 			w.mu.Unlock()
 			return nil
 		}
@@ -139,7 +143,7 @@ func (w *Worker) join(ctx context.Context) error {
 		if attempt >= 8 {
 			return fmt.Errorf("fabric: join failed after %d attempts: %w", attempt, err)
 		}
-		if !w.sleep(ctx, robust.Backoff(attempt)+w.pollInterval()) {
+		if !w.sleep(ctx, robust.Backoff(attempt)) {
 			return ctx.Err()
 		}
 	}
@@ -199,15 +203,6 @@ func (w *Worker) leaseTTL() time.Duration {
 		return 3 * time.Second
 	}
 	return w.ttl
-}
-
-func (w *Worker) pollInterval() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.poll <= 0 {
-		return 50 * time.Millisecond
-	}
-	return w.poll
 }
 
 // sleep waits d or until ctx is done, reporting whether the full wait

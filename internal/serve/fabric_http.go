@@ -4,37 +4,66 @@
 // drive these five endpoints through fabric.Client.
 //
 //	POST /v1/fabric/join       register (409 on generation-set skew)
-//	POST /v1/fabric/lease      request work (200 grant; 204 none; 410 unknown)
+//	POST /v1/fabric/lease      request work, waiting up to wait_millis
+//	                           (capped at a third of the lease TTL) for
+//	                           a shard to be queued: 200 with a grant,
+//	                           204 when the wait ends with none, 410
+//	                           for an unknown worker
 //	POST /v1/fabric/complete   upload a shard result (gzip request body)
 //	POST /v1/fabric/heartbeat  extend membership and leases (410 unknown)
 //	POST /v1/fabric/leave      depart cleanly, releasing leases
+//
+// Every body is capped at maxFabricBody bytes, both as sent and after
+// gzip inflation; a body past either cap answers 413.
 package serve
 
 import (
 	"compress/gzip"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"exysim/internal/fabric"
 )
 
-// decodeFabric decodes a JSON request body, transparently inflating a
-// gzip Content-Encoding — shard result uploads are compressed by the
-// worker client.
-func decodeFabric(r *http.Request, v any) error {
-	var body io.Reader = r.Body
+// maxFabricBody caps a fabric request body, compressed and inflated. A
+// shard document is about 1.3 KB per slice, so 64 MiB holds a
+// 10,000-slice shard several times over.
+const maxFabricBody = 64 << 20
+
+// decodeFabric decodes a JSON request body of at most limit bytes,
+// transparently inflating a gzip Content-Encoding — shard result
+// uploads are compressed by the worker client — to at most limit bytes.
+// On failure it answers 400, or 413 past either cap, and reports false.
+func decodeFabric(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, limit)
 	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(r.Body)
+		zr, err := gzip.NewReader(body)
 		if err != nil {
-			return err
+			writeBodyError(w, what, err)
+			return false
 		}
 		defer zr.Close()
-		body = zr
+		body = http.MaxBytesReader(w, zr, limit)
 	}
-	return json.NewDecoder(body).Decode(v)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		writeBodyError(w, what, err)
+		return false
+	}
+	return true
+}
+
+// writeBodyError answers a request whose body could not be read: 413
+// when it passed a size cap, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "bad "+what+" body: "+err.Error())
 }
 
 // fabricError maps the coordinator's sentinel errors onto the wire:
@@ -52,8 +81,7 @@ func fabricError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleFabricJoin(w http.ResponseWriter, r *http.Request) {
 	var req fabric.JoinRequest
-	if err := decodeFabric(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad join body: "+err.Error())
+	if !decodeFabric(w, r, maxFabricBody, "join", &req) {
 		return
 	}
 	doc, err := s.fabric.Join(req)
@@ -66,14 +94,12 @@ func (s *Server) handleFabricJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFabricLease(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		WorkerID string `json:"worker_id"`
-	}
-	if err := decodeFabric(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad lease body: "+err.Error())
+	var req fabric.LeaseRequest
+	if !decodeFabric(w, r, maxFabricBody, "lease", &req) {
 		return
 	}
-	grant, err := s.fabric.Lease(req.WorkerID)
+	// The request's context ends the wait when the worker hangs up.
+	grant, err := s.fabric.Lease(r.Context(), req.WorkerID, time.Duration(req.WaitMillis)*time.Millisecond)
 	if err != nil {
 		fabricError(w, err)
 		return
@@ -87,8 +113,7 @@ func (s *Server) handleFabricLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFabricComplete(w http.ResponseWriter, r *http.Request) {
 	var req fabric.CompleteRequest
-	if err := decodeFabric(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad complete body: "+err.Error())
+	if !decodeFabric(w, r, maxFabricBody, "complete", &req) {
 		return
 	}
 	if err := s.fabric.Complete(req); err != nil {
@@ -100,8 +125,7 @@ func (s *Server) handleFabricComplete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFabricHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req fabric.HeartbeatRequest
-	if err := decodeFabric(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad heartbeat body: "+err.Error())
+	if !decodeFabric(w, r, maxFabricBody, "heartbeat", &req) {
 		return
 	}
 	if err := s.fabric.Heartbeat(req); err != nil {
@@ -113,8 +137,7 @@ func (s *Server) handleFabricHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFabricLeave(w http.ResponseWriter, r *http.Request) {
 	var req fabric.LeaveRequest
-	if err := decodeFabric(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad leave body: "+err.Error())
+	if !decodeFabric(w, r, maxFabricBody, "leave", &req) {
 		return
 	}
 	if err := s.fabric.Leave(req); err != nil {

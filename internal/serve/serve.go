@@ -11,7 +11,8 @@
 // Endpoints:
 //
 //	POST   /v1/jobs             submit (202 queued; 200 on cache hit;
-//	                            429 + Retry-After when full; 503 draining)
+//	                            429 + Retry-After when full; 503 draining;
+//	                            413 for a body over 1 MiB)
 //	GET    /v1/jobs             list all tracked jobs
 //	GET    /v1/jobs/{id}        one job's state and result
 //	GET    /v1/jobs/{id}/stream progress stream (JSONL; SSE if requested)
@@ -324,6 +325,7 @@ func newServer(cfg Config) *Server {
 	fc.Counter("shard_cache_evictions", fstat(func(f fabric.Stats) uint64 { return f.CacheEvictions }))
 	fc.Gauge("shard_cache_entries", func() float64 { return float64(s.fabric.Stats().CacheEntries) })
 	fc.Gauge("workers_live", func() float64 { return float64(s.fabric.Stats().WorkersLive) })
+	fc.Gauge("lease_waiters", func() float64 { return float64(s.fabric.Stats().LeaseWaiters) })
 	fc.Gauge("shard_wall_mean_s", func() float64 {
 		wall := s.fabric.Stats().ShardWall
 		return wall.Mean()
@@ -390,11 +392,14 @@ func (s *Server) Fabric() *fabric.Coordinator { return s.fabric }
 func (s *Server) Metrics() obs.Snapshot { return s.reg.Snapshot() }
 
 // Shutdown drains the server: no new submissions are accepted, queued
-// and running jobs finish, then the workers exit. If ctx expires first,
-// the remaining jobs are canceled cooperatively (population sweeps with
-// a checkpoint keep their completed slices) and Shutdown returns
-// ctx.Err after they stop.
+// and running jobs finish, then the workers exit. Fabric leases stop
+// parking, so no lease request holds up an http.Server shutdown, while
+// queued shards are still granted. If ctx expires first, the remaining
+// jobs are canceled cooperatively (population sweeps with a checkpoint
+// keep their completed slices) and Shutdown returns ctx.Err after they
+// stop.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.fabric.Drain()
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
@@ -627,12 +632,15 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// maxJobBody caps a job request body; real requests are a few KB.
+const maxJobBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		writeBodyError(w, "request", err)
 		return
 	}
 	spec, err := req.resolve()
