@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 fmt-check vet build test race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench bench-smoke bench-compare bench-go
+.PHONY: tier1 fmt-check vet build test race golden obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench bench-smoke bench-compare bench-go
 
 # tier1 is the gate every change must pass: formatting, vet, a full
 # build, the test suite under the race detector, the observability
@@ -27,6 +27,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# golden rewrites the behaviour lock, testdata/golden/tiny.json, from the
+# current model. TestGoldenTiny (run by test and race) diffs against it;
+# regenerate only for an intentional model change, and name the numbers
+# that moved in CHANGES.md.
+golden:
+	$(GO) test -run '^TestGoldenTiny$$' -count=1 . -update
 
 # obs-smoke races the observability primitives: concurrent registry
 # registration vs snapshot vs lock-free histogram recording, span-tracer
