@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: tier1 fmt-check vet build test race golden obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench bench-smoke bench-compare bench-go
+.PHONY: tier1 fmt-check vet build perfbench-build test race golden obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench bench-smoke bench-compare bench-go
 
 # tier1 is the gate every change must pass: formatting, vet, a full
-# build, the test suite under the race detector, the observability
+# build, a build of the benchmark module, the test suite under the race
+# detector (including the golden behaviour lock), the observability
 # smoke, the fault-injection smoke, the serving-layer smoke, and a
 # benchmark smoke run proving the throughput harness still executes
 # every generation, and the snapshot/fork smoke pinning warm-state
 # bit-identity.
-tier1: fmt-check vet build race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench-smoke
+tier1: fmt-check vet build perfbench-build race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench-smoke
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -21,6 +22,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# perfbench-build vets and builds the benchmark module (perfbench/, its
+# own go.mod), which imports internal packages: an API change there
+# fails here instead of only when the benchmark runs.
+perfbench-build:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 test:
 	$(GO) test ./...
@@ -49,22 +56,24 @@ robust-smoke:
 
 # serve-smoke exercises the exyserve daemon's HTTP surface under the
 # race detector: concurrent pooled sweeps must stay bit-identical to
-# sequential runs, the queue must shed load with 429s, and drain must
-# finish (or checkpoint) in-flight jobs.
+# sequential runs, the queue must shed load with 429s, drain must
+# finish (or checkpoint) in-flight jobs, the job table must stay bounded,
+# and request and upload bodies must be capped.
 serve-smoke:
 	$(GO) test -race ./internal/serve/...
 
 # snapfork-smoke races the warm-state snapshot/fork protocol: forked
 # runs must be bit-identical to cold re-warms for every generation, the
 # sweep API must produce identical results with and without a warm
-# cache, the pre-decoded steady-state step loop must not allocate, and
-# the block zero scans must encode byte-identical images. It also races
+# cache, the steady-state step loop must not allocate and a whole
+# guarded slice replay must allocate a constant few objects, and the
+# block zero scans must encode byte-identical images. It also races
 # the reuse caches' admission rules: a pair's warm image is captured on
 # its second warmup only, the "seen once" set stays bounded, and the
 # simulator pool keeps at most seven configurations idle, with no
 # M1-M6 rebuilds while one-shot M7 jobs pass through a server.
 snapfork-smoke:
-	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate' . && \
+	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate|TestRunGuardedAllocsConstant' . && \
 	$(GO) test -race -run 'TestZeroScan|TestClearDirty' ./internal/snapshot/ && \
 	$(GO) test -race -run 'TestWarmAdmission|TestSimPoolBound' ./internal/experiments/ && \
 	$(GO) test -race -run 'TestSliceJobMatchesDirectRun|TestAdmissionMetricsExported' ./internal/serve/

@@ -196,7 +196,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		sl.Reset()
 		r := core.RunSlice(g, sl)
 		insts += r.Insts
 	}
@@ -216,7 +215,6 @@ func BenchmarkSimulatorThroughputGens(b *testing.B) {
 			b.ResetTimer()
 			var insts uint64
 			for i := 0; i < b.N; i++ {
-				sl.Reset()
 				r := core.RunSlice(g, sl)
 				insts += r.Insts
 			}

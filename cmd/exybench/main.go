@@ -368,7 +368,6 @@ func measure(reps int, smoke bool) *Report {
 	}
 	for _, g := range append(core.Generations(), tageGen()) {
 		// Warm (and measure instruction count) outside the timed region.
-		sl.Reset()
 		r := core.RunSlice(g, sl)
 		rep.Insts = r.Insts
 
@@ -383,7 +382,6 @@ func measure(reps int, smoke bool) *Report {
 		for rI := 0; rI < reps; rI++ {
 			start := time.Now()
 			for i := 0; i < iters; i++ {
-				sl.Reset()
 				core.RunSlice(g, sl)
 			}
 			if d := time.Since(start); d < best {
@@ -629,7 +627,6 @@ func tageGen() core.GenConfig {
 // batches per generation stay interactive.
 func calibrate(g core.GenConfig, sl *trace.Slice) int {
 	const target = 200 * time.Millisecond
-	sl.Reset()
 	start := time.Now()
 	core.RunSlice(g, sl)
 	per := time.Since(start)

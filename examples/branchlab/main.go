@@ -16,16 +16,12 @@ import (
 func mpkiOf(p branch.DirectionPredictor, slices int) float64 {
 	var mis, insts uint64
 	for _, sl := range workload.CBPSuite(slices, 200_000, 220, 0xE59) {
-		n := 0
-		for {
-			in, err := sl.Next()
-			if err != nil {
-				break
-			}
-			n++
+		for i := range sl.Insts {
+			in := &sl.Insts[i]
+			measured := i >= sl.Warmup
 			if in.Branch == isa.BranchCond {
 				pred := p.Predict(in.PC)
-				if n > sl.Warmup && pred.Taken != in.Taken {
+				if measured && pred.Taken != in.Taken {
 					mis++
 				}
 				p.Train(in.PC, in.Taken)
@@ -33,7 +29,7 @@ func mpkiOf(p branch.DirectionPredictor, slices int) float64 {
 			if in.Branch.IsBranch() {
 				p.OnBranch(in.PC, in.Branch == isa.BranchCond, in.Taken)
 			}
-			if n > sl.Warmup {
+			if measured {
 				insts++
 			}
 		}

@@ -48,7 +48,6 @@ func main() {
 				}
 				fmt.Println()
 			}
-			sl.Reset()
 		}
 		fmt.Println()
 	}

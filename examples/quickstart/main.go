@@ -31,7 +31,6 @@ func main() {
 		fmt.Printf("  IPC            %6.3f\n", r.IPC)
 		fmt.Printf("  branch MPKI    %6.2f\n", r.MPKI)
 		fmt.Printf("  avg load lat   %6.2f cycles\n\n", r.AvgLoadLat)
-		slice.Reset()
 	}
 
 	fmt.Println("The paper's cross-generation averages: IPC 1.06 -> 2.71,")

@@ -12,16 +12,9 @@ import (
 // statistics after the warmup prefix, and returns the detailed-region
 // stats.
 func runSlice(f *Frontend, s *trace.Slice) Stats {
-	s.Reset()
-	n := 0
-	for {
-		in, err := s.Next()
-		if err != nil {
-			break
-		}
-		f.Step(&in)
-		n++
-		if n == s.Warmup {
+	for i := range s.Insts {
+		f.Step(&s.Insts[i])
+		if i+1 == s.Warmup {
 			f.ResetStats()
 		}
 	}
@@ -87,7 +80,6 @@ func TestFrontendWebBenefitsFromL2BTBGrowth(t *testing.T) {
 	f3 := NewFrontend(M3FrontendConfig())
 	f4 := NewFrontend(M4FrontendConfig())
 	st3 := runSlice(f3, s)
-	s.Reset()
 	st4 := runSlice(f4, s)
 	cost3 := float64(st3.Bubbles) + float64(st3.Mispredicts)
 	cost4 := float64(st4.Bubbles) + float64(st4.Mispredicts)
@@ -194,7 +186,6 @@ func TestFrontendM6IndirectBeatsM1OnManyTargets(t *testing.T) {
 	for idx := 0; idx < 3; idx++ {
 		s := genSlice(t, workload.WebFamily(), idx, 60000)
 		st1 := runSlice(NewFrontend(M1FrontendConfig()), s)
-		s.Reset()
 		st6 := runSlice(NewFrontend(M6FrontendConfig()), s)
 		mis1 += st1.MispredIndirect
 		mis6 += st6.MispredIndirect
@@ -271,7 +262,6 @@ func TestFrontendStatsResetKeepsLearning(t *testing.T) {
 	st1 := runSlice(f, s)
 	// Re-run the same slice without rebuilding: learned state persists,
 	// so the second pass must not be worse.
-	s.Reset()
 	st2 := runSlice(f, s)
 	if st2.MPKI() > st1.MPKI()*1.1 {
 		t.Fatalf("second pass MPKI %.2f worse than first %.2f", st2.MPKI(), st1.MPKI())

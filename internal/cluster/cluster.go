@@ -50,43 +50,38 @@ func (c *Cluster) Run(slices []*trace.Slice) []core.Result {
 	n := len(c.sims)
 	type lane struct {
 		sim  *core.Simulator
-		sl   *trace.Slice
-		seen int
-		done bool
+		pd   *trace.PreDecoded
+		next int
 	}
 	lanes := make([]*lane, 0, n)
 	for i := 0; i < n && i < len(slices); i++ {
-		slices[i].Reset()
-		lanes = append(lanes, &lane{sim: c.sims[i], sl: slices[i]})
+		lanes = append(lanes, &lane{sim: c.sims[i], pd: slices[i].PreDecode()})
 	}
-	live := len(lanes)
-	for live > 0 {
+	for {
 		// Step the core whose pipeline clock is furthest behind, so the
 		// shared DRAM sees approximately time-ordered requests.
 		var pick *lane
 		for _, l := range lanes {
-			if l.done {
+			if l.next == len(l.pd.Meta) {
 				continue
 			}
 			if pick == nil || l.sim.Core().Now() < pick.sim.Core().Now() {
 				pick = l
 			}
 		}
-		in, err := pick.sl.Next()
-		if err != nil {
-			pick.done = true
-			live--
-			continue
+		if pick == nil {
+			break
 		}
-		pick.sim.Core().Step(&in)
-		pick.seen++
-		if pick.seen == pick.sl.Warmup {
+		sl, i := pick.pd.Slice, pick.next
+		pick.sim.Core().StepDecoded(&sl.Insts[i], pick.pd.Meta[i])
+		pick.next++
+		if pick.next == sl.Warmup {
 			pick.sim.Core().ResetStats()
 		}
 	}
 	out := make([]core.Result, len(lanes))
 	for i, l := range lanes {
-		out[i] = l.sim.Snapshot(l.sl)
+		out[i] = l.sim.Snapshot(l.pd.Slice)
 	}
 	return out
 }

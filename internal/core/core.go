@@ -235,18 +235,13 @@ func (s *Simulator) Config() GenConfig { return s.cfg }
 
 // Run replays a slice: the warmup prefix trains all structures, stats
 // reset, and the detailed region produces the result (§II's
-// SimPoint-style methodology).
+// SimPoint-style methodology). The slice is pre-decoded and stepped by
+// index; its instruction storage is only read.
 func (s *Simulator) Run(sl *trace.Slice) Result {
-	sl.Reset()
-	n := 0
-	for {
-		in, err := sl.Next()
-		if err != nil {
-			break
-		}
-		s.core.Step(&in)
-		n++
-		if n == sl.Warmup {
+	pd := sl.PreDecode()
+	for i := range sl.Insts {
+		s.core.StepDecoded(&sl.Insts[i], pd.Meta[i])
+		if i+1 == sl.Warmup {
 			s.core.ResetStats()
 		}
 	}
@@ -296,18 +291,12 @@ func (s *Simulator) RunTimeline(sl *trace.Slice, intervalInsts int) []IntervalRe
 	if intervalInsts <= 0 {
 		intervalInsts = 10_000
 	}
-	sl.Reset()
+	pd := sl.PreDecode()
 	var out []IntervalResult
-	n := 0
 	lastCycles, lastMis := uint64(0), uint64(0)
-	for {
-		in, err := sl.Next()
-		if err != nil {
-			break
-		}
-		s.core.Step(&in)
-		n++
-		if n%intervalInsts == 0 {
+	for i := range sl.Insts {
+		s.core.StepDecoded(&sl.Insts[i], pd.Meta[i])
+		if (i+1)%intervalInsts == 0 {
 			pr := s.core.Result()
 			fr := s.core.Frontend().Stats()
 			dCyc := pr.Cycles - lastCycles

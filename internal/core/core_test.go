@@ -24,7 +24,6 @@ func TestIPCInPlausibleBand(t *testing.T) {
 		if r.IPC <= 0 || r.IPC > float64(g.Pipe.Width) {
 			t.Fatalf("%s IPC %.3f outside (0, %d]", g.Name, r.IPC, g.Pipe.Width)
 		}
-		sl.Reset()
 	}
 }
 
@@ -34,9 +33,7 @@ func TestHighILPCappedByWidth(t *testing.T) {
 	// by M1's 4-wide design").
 	sl := sliceOf(t, workload.SpecFPFamily(), 0, 60000)
 	m1 := RunSlice(mustGen(t, "M1"), sl)
-	sl.Reset()
 	m3 := RunSlice(mustGen(t, "M3"), sl)
-	sl.Reset()
 	m6 := RunSlice(mustGen(t, "M6"), sl)
 	t.Logf("specfp IPC: M1=%.2f M3=%.2f M6=%.2f", m1.IPC, m3.IPC, m6.IPC)
 	if m1.IPC > 4.0 {
@@ -55,7 +52,6 @@ func TestLowIPCChaseImprovesWithMemorySystem(t *testing.T) {
 	// sophisticated, coordinated prefetching" and the §IX latency work.
 	sl := sliceOf(t, workload.ChaseFamily(), 0, 40000)
 	m1 := RunSlice(mustGen(t, "M1"), sl)
-	sl.Reset()
 	m6 := RunSlice(mustGen(t, "M6"), sl)
 	t.Logf("chase IPC: M1=%.3f M6=%.3f; load lat M1=%.1f M6=%.1f",
 		m1.IPC, m6.IPC, m1.AvgLoadLat, m6.AvgLoadLat)
@@ -126,7 +122,6 @@ func TestGenByName(t *testing.T) {
 func TestDeterministicResults(t *testing.T) {
 	sl := sliceOf(t, workload.MobileFamily(), 0, 20000)
 	a := RunSlice(mustGen(t, "M4"), sl)
-	sl.Reset()
 	b := RunSlice(mustGen(t, "M4"), sl)
 	if a.IPC != b.IPC || a.MPKI != b.MPKI || a.AvgLoadLat != b.AvgLoadLat {
 		t.Fatalf("nondeterministic results: %+v vs %+v", a, b)
@@ -257,7 +252,6 @@ func TestSeedRobustness(t *testing.T) {
 		for _, sl := range slices {
 			r := RunSlice(g, sl)
 			sum += r.IPC
-			sl.Reset()
 		}
 		return sum / float64(len(slices))
 	}

@@ -19,7 +19,6 @@ func ExampleRunSlice() {
 		r := core.RunSlice(gen, slice)
 		fmt.Printf("%s: IPC in (0,%d], MPKI >= 0: %v\n",
 			name, gen.Pipe.Width, r.IPC > 0 && r.IPC <= float64(gen.Pipe.Width) && r.MPKI >= 0)
-		slice.Reset()
 	}
 	// Output:
 	// M1: IPC in (0,4], MPKI >= 0: true

@@ -164,12 +164,11 @@ func meanMetrics(gen core.GenConfig, slices []*trace.Slice) (ipc, epki float64) 
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, sl := range slices {
 		wg.Add(1)
-		go func(i int, src *trace.Slice) {
+		go func(i int, sl *trace.Slice) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			clone := src.Cursor()
-			r := core.RunSlice(gen, &clone)
+			r := core.RunSlice(gen, sl)
 			results[i] = pair{r.IPC, r.FetchEPKI}
 		}(i, sl)
 	}

@@ -308,7 +308,6 @@ func Fig1(slices, instsPerSlice int, lengths []int, seed uint64) []Fig1Point {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var cursor trace.Slice
 			for li := range idxs {
 				gl := lengths[li]
 				cfg := branch.M1SHPConfig()
@@ -322,17 +321,12 @@ func Fig1(slices, instsPerSlice int, lengths []int, seed uint64) []Fig1Point {
 					if si > 0 {
 						p.Reset()
 					}
-					cursor = src.Cursor()
-					n := 0
-					for {
-						in, err := cursor.Next()
-						if err != nil {
-							break
-						}
-						n++
+					for i := range src.Insts {
+						in := &src.Insts[i]
+						measured := i >= src.Warmup
 						if in.Branch == isa.BranchCond {
 							pred := p.Predict(in.PC)
-							if n > cursor.Warmup && pred.Taken != in.Taken {
+							if measured && pred.Taken != in.Taken {
 								mis++
 							}
 							p.Train(in.PC, in.Taken)
@@ -340,7 +334,7 @@ func Fig1(slices, instsPerSlice int, lengths []int, seed uint64) []Fig1Point {
 						if in.Branch.IsBranch() {
 							p.OnBranch(in.PC, in.Branch == isa.BranchCond, in.Taken)
 						}
-						if n > cursor.Warmup {
+						if measured {
 							insts++
 						}
 					}
@@ -592,12 +586,8 @@ func RenderPower(p *PopulationRun) string {
 func BranchSlotStats(spec workload.SuiteSpec) (lead, second, bothNT float64) {
 	f := branch.NewFrontend(branch.M1FrontendConfig())
 	for _, sl := range workload.Suite(spec) {
-		for {
-			in, err := sl.Next()
-			if err != nil {
-				break
-			}
-			f.Step(&in)
+		for i := range sl.Insts {
+			f.Step(&sl.Insts[i])
 		}
 	}
 	st := f.Stats()

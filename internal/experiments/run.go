@@ -217,8 +217,8 @@ func WithGenerations(gens []core.GenConfig) Option {
 // unaffected. Jobs are enqueued generation-major, which keeps each
 // worker's set hot on one generation at a time.
 //
-// Every slice runs guarded (robust.RunGuarded): a panic, deadline trip,
-// or invariant violation quarantines that slice alone — the possibly
+// Every slice runs guarded (robust.RunGuardedDecoded): a panic, deadline
+// trip, or invariant violation quarantines that slice alone — the possibly
 // corrupted simulator is discarded instead of recycled, the slice is
 // retried on fresh simulators up to WithRetries times, and the sweep
 // completes with partial results plus the failure records in

@@ -40,16 +40,10 @@ func SecurityCost(spec workload.SuiteSpec, rekeyEvery int) []SecurityRow {
 			if sl.Suite != "web" { // indirect-heavy suite shows the cost
 				continue
 			}
-			n := 0
-			for {
-				in, err := sl.Next()
-				if err != nil {
-					break
-				}
-				f.Step(&in)
-				n++
+			for i := range sl.Insts {
+				f.Step(&sl.Insts[i])
 				steps++
-				if n == sl.Warmup {
+				if i+1 == sl.Warmup {
 					f.ResetStats()
 				}
 				if useCipher && rekey > 0 && steps%rekey == 0 {

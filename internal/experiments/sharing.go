@@ -46,9 +46,8 @@ func SharingStudy(spec workload.SuiteSpec, loads []float64) []SharingRow {
 			gen.Mem.CoRunnerLoad = load
 			sumIPC, sumLat := 0.0, 0.0
 			var l2p, l3p uint64
-			for _, src := range slices {
-				clone := src.Cursor()
-				r := core.RunSlice(gen, &clone)
+			for _, sl := range slices {
+				r := core.RunSlice(gen, sl)
 				sumIPC += r.IPC
 				sumLat += r.AvgLoadLat
 				l2p += r.Mem.CoRunnerL2Fills

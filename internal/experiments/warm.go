@@ -50,8 +50,8 @@ const (
 //
 // Pass one WarmCache to experiments.Run via WithWarmSnapshots; a
 // long-lived process (exyserve, exybench reps) reuses it across sweeps.
-// Slices returned by a WarmCache are shared read-only — replay through
-// cursors (trace.Slice.Cursor), never through the cached slice itself.
+// Slices returned by a WarmCache are shared read-only; every replay path
+// only reads them.
 //
 // Invalidation is by key construction: changing a workload spec, slice
 // content, or generation config produces different digests, so stale
@@ -115,8 +115,7 @@ func (w *WarmCache) SetSnapshotBudget(bytes int64) {
 }
 
 // Suite returns the materialized population for spec, generating it on
-// first use. The returned slices are shared: treat them as read-only and
-// replay via cursors.
+// first use. The returned slices are shared: treat them as read-only.
 func (w *WarmCache) Suite(spec workload.SuiteSpec) []*trace.Slice {
 	key := obs.ConfigDigest(spec.Normalize())
 	w.mu.Lock()

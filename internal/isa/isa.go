@@ -169,14 +169,13 @@ func (in *Inst) MicroOps() int {
 	return 1
 }
 
-// Decoded packs the per-instruction facts the pipeline re-derives on
-// every dynamic instruction — μop count, fetch-line boundary, operand
-// and branch classification — into one byte, so a pre-decoded stream
-// replaces that per-step work with a table lookup. All bits except
-// DecNewLine depend only on the instruction itself; DecNewLine encodes
-// the relationship to the previous dynamic instruction's fetch line and
-// is added by stream compilers (trace.PreDecode) or the classic step
-// path.
+// Decoded packs the per-instruction facts the pipeline needs on every
+// dynamic instruction — μop count, fetch-line boundary, operand and
+// branch classification — into one byte, compiled once per slice so
+// every replay reads a table instead of re-deriving them. All bits
+// except DecNewLine depend only on the instruction itself; DecNewLine
+// encodes the relationship to the previous dynamic instruction's fetch
+// line and is added by the stream compiler (trace.PreDecode).
 type Decoded uint8
 
 // Decoded bits.

@@ -12,7 +12,6 @@ import (
 // simple advancing clock (one cycle per instruction plus latency echo),
 // resetting stats after warmup. It returns the detailed-region stats.
 func replayLoads(s *System, sl *trace.Slice) Stats {
-	sl.Reset()
 	// The driver advances its clock like a window-limited core: a load
 	// may overlap at most `overlap` cycles of younger work, and a
 	// dependent (cascade) load serializes completely. Without this, the
@@ -20,14 +19,9 @@ func replayLoads(s *System, sl *trace.Slice) Stats {
 	// a real core would have stalled.
 	const overlap = 48
 	now := uint64(1000)
-	n := 0
 	lastLoadDst := isa.RegNone
-	for {
-		in, err := sl.Next()
-		if err != nil {
-			break
-		}
-		n++
+	for i := range sl.Insts {
+		in := &sl.Insts[i]
 		now++
 		switch in.Class {
 		case isa.Load:
@@ -43,7 +37,7 @@ func replayLoads(s *System, sl *trace.Slice) Stats {
 		case isa.Store:
 			s.Store(in.PC, in.Addr, now)
 		}
-		if n == sl.Warmup {
+		if i+1 == sl.Warmup {
 			s.ResetStats()
 		}
 	}
@@ -97,7 +91,6 @@ func TestSMSHelpsSpatialWorkload(t *testing.T) {
 	cfgNoSMS := M3MemConfig()
 	cfgNoSMS.HasSMS = false
 	a := replayLoads(New(cfgNoSMS), sl)
-	sl.Reset()
 	b := replayLoads(New(M3MemConfig()), sl)
 	t.Logf("avg load lat without SMS %.2f, with %.2f", a.LoadLat.Mean(), b.LoadLat.Mean())
 	if b.LoadLat.Mean() > a.LoadLat.Mean() {
@@ -110,7 +103,6 @@ func TestCascadeReducesChaseLatency(t *testing.T) {
 	cfgNo := M4MemConfig()
 	cfgNo.HasCascade = false
 	a := replayLoads(New(cfgNo), sl)
-	sl.Reset()
 	b := replayLoads(New(M4MemConfig()), sl)
 	if b.LoadLat.Mean() > a.LoadLat.Mean() {
 		t.Fatalf("cascading should not increase latency: %.2f -> %.2f", a.LoadLat.Mean(), b.LoadLat.Mean())
@@ -204,7 +196,6 @@ func TestSpecReadReducesDRAMLatency(t *testing.T) {
 	cfgNo.Uncore.SpecRead = false
 	cfgNo.Uncore.EarlyActivate = false
 	a := replayLoads(New(cfgNo), sl)
-	sl.Reset()
 	b := replayLoads(New(M5MemConfig()), sl)
 	t.Logf("chase avg load lat without §IX features %.2f, with %.2f", a.LoadLat.Mean(), b.LoadLat.Mean())
 	if b.LoadLat.Mean() >= a.LoadLat.Mean() {

@@ -131,9 +131,8 @@ type Core struct {
 	retiredInCycle  int
 
 	// Fetch state.
-	fetchCycle   uint64
-	fetchSlots   int
-	curFetchLine uint64
+	fetchCycle uint64
+	fetchSlots int
 
 	// Current basic block bookkeeping for the UOC.
 	blockStart uint64
@@ -182,7 +181,6 @@ func New(cfg Config, front *branch.Frontend, m *mem.System) *Core {
 		c.ucache = uoc.New(cfg.UOC)
 	}
 	c.fetchCycle = 1
-	c.curFetchLine = ^uint64(0)
 	return c
 }
 
@@ -272,7 +270,6 @@ func (c *Core) Reset() {
 	c.retiredInCycle = 0
 	c.fetchCycle = 1
 	c.fetchSlots = 0
-	c.curFetchLine = ^uint64(0)
 	c.blockStart = 0
 	c.blockUops = 0
 	c.inUOCFetch = false
@@ -386,26 +383,14 @@ func (c *Core) writeDst(in *isa.Inst, done uint64) {
 	c.intProducerLoad[in.Dst] = in.Class == isa.Load
 }
 
-// Step runs one dynamic instruction through the model, deriving its
-// decode facts on the fly. The pre-decoded path (StepDecoded) feeds the
-// same facts from a compiled stream; both paths share step() and are
-// bit-identical.
-func (c *Core) Step(in *isa.Inst) {
-	d := isa.Decode(in)
-	if in.PC>>6 != c.curFetchLine {
-		d |= isa.DecNewLine
-	}
-	c.step(in, d)
-}
-
-// StepDecoded runs one dynamic instruction whose decode facts were
-// compiled ahead of time (trace.PreDecode). The caller must feed
-// instructions in stream order from the position the core is at —
-// DecNewLine encodes the fetch-line relationship to the stream
-// predecessor, which the classic path re-derives per step.
-func (c *Core) StepDecoded(in *isa.Inst, d isa.Decoded) { c.step(in, d) }
-
-func (c *Core) step(in *isa.Inst, d isa.Decoded) {
+// StepDecoded runs one dynamic instruction through the model, with its
+// decode facts compiled ahead of time by trace.PreDecode. It is the only
+// step entry point. The caller feeds instructions in stream order from
+// the position the core is at: DecNewLine encodes the fetch-line
+// relationship to the stream predecessor, so a replay starts at 0 on a
+// cold (or Reset) core, or at the warmup boundary on a core restored
+// from a warm-state image captured there.
+func (c *Core) StepDecoded(in *isa.Inst, d isa.Decoded) {
 	cfg := &c.cfg
 
 	// ---- Fetch ----
@@ -415,7 +400,6 @@ func (c *Core) step(in *isa.Inst, d isa.Decoded) {
 		c.blockStart = in.PC
 	}
 	if d&isa.DecNewLine != 0 {
-		c.curFetchLine = in.PC >> 6
 		if !c.inUOCFetch {
 			c.charge(power.EvICacheAccess, 1)
 			if stall := c.memsy.FetchInst(in.PC, c.fetchCycle); stall > 0 {

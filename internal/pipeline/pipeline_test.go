@@ -6,28 +6,39 @@ import (
 	"exysim/internal/branch"
 	"exysim/internal/isa"
 	"exysim/internal/mem"
+	"exysim/internal/trace"
 )
 
 func newCore(cfg Config) *Core {
 	return New(cfg, branch.NewFrontend(branch.M1FrontendConfig()), mem.New(mem.M1MemConfig()))
 }
 
-// run feeds a straight-line block of instructions n times with a loop
-// branch, returning IPC.
+// replay steps an instruction stream through the core the way every
+// simulator replays a slice — pre-decoded, by index — and returns IPC.
+func replay(c *Core, insts []isa.Inst) float64 {
+	pd := (&trace.Slice{Insts: insts}).PreDecode()
+	for i := range insts {
+		c.StepDecoded(&insts[i], pd.Meta[i])
+	}
+	return c.Result().IPC
+}
+
+// runKernel feeds a straight-line block of instructions n times with a
+// loop branch, returning IPC.
 func runKernel(c *Core, body []isa.Inst, iters int) float64 {
 	base := uint64(0x10000)
+	var insts []isa.Inst
 	for it := 0; it < iters; it++ {
 		pc := base
 		for i := range body {
 			in := body[i]
 			in.PC = pc
 			pc += isa.InstBytes
-			c.Step(&in)
+			insts = append(insts, in)
 		}
-		br := isa.Inst{PC: pc, Class: isa.Branch, Branch: isa.BranchCond, Taken: it+1 < iters, Target: base}
-		c.Step(&br)
+		insts = append(insts, isa.Inst{PC: pc, Class: isa.Branch, Branch: isa.BranchCond, Taken: it+1 < iters, Target: base})
 	}
-	return c.Result().IPC
+	return replay(c, insts)
 }
 
 func TestIndependentALUBoundByUnits(t *testing.T) {
@@ -129,6 +140,7 @@ func TestROBLimitsMemoryOverlap(t *testing.T) {
 		// Unique addresses per iteration force misses.
 
 		base := uint64(0x4000_0000)
+		var insts []isa.Inst
 		for it := 0; it < 400; it++ {
 			pc := uint64(0x10000)
 			for i := range body {
@@ -139,12 +151,11 @@ func TestROBLimitsMemoryOverlap(t *testing.T) {
 					base += 64 * 101 // stride past sets, unprefetchable-ish
 				}
 				pc += isa.InstBytes
-				c.Step(&in)
+				insts = append(insts, in)
 			}
-			br := isa.Inst{PC: pc, Class: isa.Branch, Branch: isa.BranchCond, Taken: it < 399, Target: 0x10000}
-			c.Step(&br)
+			insts = append(insts, isa.Inst{PC: pc, Class: isa.Branch, Branch: isa.BranchCond, Taken: it < 399, Target: 0x10000})
 		}
-		return c.Result().IPC
+		return replay(c, insts)
 	}
 	big := mk(M1PipeConfig())
 	tiny := mk(small)
@@ -157,29 +168,22 @@ func TestMispredictChargesRedirect(t *testing.T) {
 	// Identical kernels except branch predictability: the random-branch
 	// version must be slower.
 	mk := func(predictable bool) float64 {
-		c := newCore(M1PipeConfig())
-		n := 0
+		var insts []isa.Inst
 		for it := 0; it < 3000; it++ {
-			in := isa.Inst{PC: 0x100, Class: isa.ALUSimple, Dst: 1, Src1: 1}
-			c.Step(&in)
 			taken := true
 			if !predictable {
 				taken = (it*2654435761)%100 < 50
 			}
-			tgt := uint64(0x100)
-			br := isa.Inst{PC: 0x104, Class: isa.Branch, Branch: isa.BranchCond, Taken: taken, Target: tgt}
-			c.Step(&br)
-			if taken {
-				// loop back
-			} else {
-				filler := isa.Inst{PC: 0x108, Class: isa.ALUSimple, Dst: 2, Src1: 2}
-				c.Step(&filler)
-				jmp := isa.Inst{PC: 0x10C, Class: isa.Branch, Branch: isa.BranchUncond, Taken: true, Target: 0x100}
-				c.Step(&jmp)
+			insts = append(insts,
+				isa.Inst{PC: 0x100, Class: isa.ALUSimple, Dst: 1, Src1: 1},
+				isa.Inst{PC: 0x104, Class: isa.Branch, Branch: isa.BranchCond, Taken: taken, Target: 0x100})
+			if !taken {
+				insts = append(insts,
+					isa.Inst{PC: 0x108, Class: isa.ALUSimple, Dst: 2, Src1: 2},
+					isa.Inst{PC: 0x10C, Class: isa.Branch, Branch: isa.BranchUncond, Taken: true, Target: 0x100})
 			}
-			n++
 		}
-		return c.Result().IPC
+		return replay(newCore(M1PipeConfig()), insts)
 	}
 	good, bad := mk(true), mk(false)
 	if bad >= good {

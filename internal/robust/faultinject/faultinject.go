@@ -14,15 +14,14 @@ import (
 	"time"
 
 	"exysim/internal/core"
-	"exysim/internal/isa"
 	"exysim/internal/trace"
 )
 
 // PanicAt returns a step hook that panics every time instruction n is
 // reached — a persistent fault: retries with fresh simulators keep
 // failing, so the slice must end up quarantined.
-func PanicAt(n int) func(int, *isa.Inst) {
-	return func(i int, _ *isa.Inst) {
+func PanicAt(n int) func(int) {
+	return func(i int) {
 		if i == n {
 			panic("faultinject: injected panic")
 		}
@@ -32,9 +31,9 @@ func PanicAt(n int) func(int, *isa.Inst) {
 // PanicOnce returns a step hook that panics the first time instruction n
 // is reached and never again — a transient fault: the retry on a fresh
 // simulator must succeed and produce a bit-identical result.
-func PanicOnce(n int) func(int, *isa.Inst) {
+func PanicOnce(n int) func(int) {
 	var fired atomic.Bool
-	return func(i int, _ *isa.Inst) {
+	return func(i int) {
 		if i == n && fired.CompareAndSwap(false, true) {
 			panic("faultinject: injected transient panic")
 		}
@@ -44,8 +43,8 @@ func PanicOnce(n int) func(int, *isa.Inst) {
 // Stall returns a step hook that sleeps d on every instruction from
 // inst n onward — a livelock stand-in that makes forward progress
 // arbitrarily slow so the per-slice deadline must fire.
-func Stall(n int, d time.Duration) func(int, *isa.Inst) {
-	return func(i int, _ *isa.Inst) {
+func Stall(n int, d time.Duration) func(int) {
+	return func(i int) {
 		if i >= n {
 			time.Sleep(d)
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"exysim/internal/core"
-	"exysim/internal/isa"
 	"exysim/internal/trace"
 	"exysim/internal/workload"
 )
@@ -17,7 +16,7 @@ var tinySpec = workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 8_000, Warm
 
 func TestPanicAtFiresEveryTime(t *testing.T) {
 	hook := PanicAt(3)
-	hook(2, nil) // below the trigger: no panic
+	hook(2) // below the trigger: no panic
 	for i := 0; i < 2; i++ {
 		func() {
 			defer func() {
@@ -25,7 +24,7 @@ func TestPanicAtFiresEveryTime(t *testing.T) {
 					t.Fatalf("pass %d: PanicAt(3) did not fire at 3", i)
 				}
 			}()
-			hook(3, nil)
+			hook(3)
 		}()
 	}
 }
@@ -38,9 +37,9 @@ func TestPanicOnceFiresExactlyOnce(t *testing.T) {
 				t.Fatal("first pass should panic")
 			}
 		}()
-		hook(3, nil)
+		hook(3)
 	}()
-	hook(3, nil) // second pass: the transient fault is gone
+	hook(3) // second pass: the transient fault is gone
 }
 
 func TestResultCorruptors(t *testing.T) {
@@ -157,8 +156,7 @@ func TestCleanRoundTripStillWorks(t *testing.T) {
 
 func TestStallSleepsFromTriggerOn(t *testing.T) {
 	hook := Stall(5, 0) // zero duration: just prove the branch logic
-	var in isa.Inst
-	hook(0, &in)
-	hook(5, &in)
-	hook(6, &in)
+	hook(0)
+	hook(5)
+	hook(6)
 }

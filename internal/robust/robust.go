@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"exysim/internal/core"
-	"exysim/internal/isa"
 	"exysim/internal/obs"
 	"exysim/internal/trace"
 )
@@ -68,11 +67,13 @@ func (f *SliceFailure) String() string {
 	return fmt.Sprintf("%s/%s: %s: %s", f.Gen, f.Slice, f.Kind, f.Err)
 }
 
-// StepHook observes (or perturbs) every instruction of a guarded run;
-// n is the zero-based dynamic instruction index. Production runs leave
-// it nil — the fault-injection harness uses it to panic, stall, or
-// corrupt state at a chosen point.
-type StepHook func(n int, in *isa.Inst)
+// StepHook runs before every instruction of a guarded run; n is the
+// instruction's zero-based position in the slice. Production runs leave
+// it nil — the fault-injection harness uses it to panic or stall at a
+// chosen point. A hook sees only the position, never the instruction:
+// the stream it would see is shared read-only by every simulator
+// replaying the slice.
+type StepHook func(n int)
 
 // ResultHook runs over the completed Result before the invariant check —
 // the fault-injection seam for NaN/negative-counter corruption, and an
@@ -139,99 +140,26 @@ func (o *Options) heartbeatMask() int {
 
 // RunGuarded replays sl on sim under opts, reproducing exactly the
 // warmup/measure protocol of core.Simulator.Run: for a healthy slice the
-// returned Result is bit-identical to sim.Run(sl). On failure it returns
-// a SliceFailure (with Gen/Slice/ConfigDigest filled in) and the
-// simulator must be treated as corrupted: Reset() is not enough after a
-// panic or timeout, because internal state may have been torn mid-update
-// — discard the instance.
-func RunGuarded(sim *core.Simulator, sl *trace.Slice, opts Options) (res core.Result, fail *SliceFailure) {
-	cfg := sim.Config()
-	mkFail := func(kind FailureKind, err string, stack string) *SliceFailure {
-		return &SliceFailure{
-			Gen: cfg.Name, Slice: sl.Name,
-			Kind: kind, Err: err, Stack: stack,
-			ConfigDigest: obs.ConfigDigest(cfg),
-		}
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			res = core.Result{}
-			fail = mkFail(KindPanic, fmt.Sprint(p), string(debug.Stack()))
-		}
-	}()
-
-	start := time.Now()
-	mask := opts.heartbeatMask()
-	deadline := opts.Deadline
-	cancel := opts.Cancel
-	hbHist := opts.HeartbeatHist
-	lastBeat := start
-
-	sl.Reset()
-	c := sim.Core()
-	n := 0
-	for {
-		in, err := sl.Next()
-		if err != nil {
-			break
-		}
-		if opts.StepHook != nil {
-			opts.StepHook(n, &in)
-		}
-		c.Step(&in)
-		n++
-		if n == sl.Warmup {
-			c.ResetStats()
-			if opts.AfterWarmup != nil {
-				opts.AfterWarmup()
-			}
-		}
-		if n&mask == 0 {
-			if hbHist != nil {
-				now := time.Now()
-				hbHist.Observe(uint64(now.Sub(lastBeat).Microseconds()))
-				lastBeat = now
-			}
-			if cancel != nil {
-				select {
-				case <-cancel:
-					return core.Result{}, mkFail(KindCanceled,
-						fmt.Sprintf("run canceled after %d instructions", n), "")
-				default:
-				}
-			}
-			if deadline > 0 && time.Since(start) > deadline {
-				return core.Result{}, mkFail(KindTimeout,
-					fmt.Sprintf("slice exceeded %v deadline after %d instructions", deadline, n), "")
-			}
-		}
-	}
-	res = sim.Snapshot(sl)
-	if opts.ResultHook != nil {
-		opts.ResultHook(&res)
-	}
-	if opts.CheckInvariants {
-		if err := Check(&res); err != nil {
-			return core.Result{}, mkFail(KindInvariant, err.Error(), "")
-		}
-	}
-	return res, nil
+// returned Result is bit-identical to sim.Run(sl). It pre-decodes sl and
+// runs RunGuardedDecoded from 0; sweeps that replay one slice many times
+// keep the pre-decoded stream and call RunGuardedDecoded directly.
+func RunGuarded(sim *core.Simulator, sl *trace.Slice, opts Options) (core.Result, *SliceFailure) {
+	return RunGuardedDecoded(sim, sl.PreDecode(), 0, opts)
 }
 
-// RunGuardedDecoded is RunGuarded over a pre-decoded stream: the step
-// loop indexes the slice's shared read-only instruction storage and its
-// compiled decode metadata directly, with no per-instruction copy and no
-// heap traffic — the production fast path for population sweeps. from is
-// the stream position to start at: 0 for a full warmup+measure replay
-// (bit-identical to RunGuarded), or the slice's Warmup for a run forked
-// from a warm-state snapshot the caller just restored (the warmup
-// boundary's stats reset already happened before the capture, so none is
-// performed).
+// RunGuardedDecoded is the guarded step loop: it replays a pre-decoded
+// stream on sim under opts, indexing the slice's shared read-only
+// instruction storage and its compiled decode metadata directly, with no
+// per-instruction copy and no heap traffic. from is the stream position
+// to start at: 0 for a full warmup+measure replay, or the slice's Warmup
+// for a run forked from a warm-state snapshot the caller just restored
+// (the warmup boundary's stats reset already happened before the
+// capture, so none is performed).
 //
-// A non-nil StepHook forces the classic path: hooks may mutate the
-// instruction they observe, which must not reach the shared stream.
-// From 0 that is a transparent fallback; a forked run with a hook is a
-// contract violation and fails the slice rather than corrupting storage.
+// On failure it returns a SliceFailure (with Gen/Slice/ConfigDigest
+// filled in) and the simulator must be treated as corrupted: Reset() is
+// not enough after a panic or timeout, because internal state may have
+// been torn mid-update — discard the instance.
 func RunGuardedDecoded(sim *core.Simulator, pd *trace.PreDecoded, from int, opts Options) (res core.Result, fail *SliceFailure) {
 	sl := pd.Slice
 	cfg := sim.Config()
@@ -242,14 +170,6 @@ func RunGuardedDecoded(sim *core.Simulator, pd *trace.PreDecoded, from int, opts
 			ConfigDigest: obs.ConfigDigest(cfg),
 		}
 	}
-	if opts.StepHook != nil {
-		if from != 0 {
-			return core.Result{}, mkFail(KindInvariant,
-				"decoded fork with a step hook: hooks require the classic full replay", "")
-		}
-		cur := sl.Cursor()
-		return RunGuarded(sim, &cur, opts)
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			res = core.Result{}
@@ -262,6 +182,7 @@ func RunGuardedDecoded(sim *core.Simulator, pd *trace.PreDecoded, from int, opts
 	deadline := opts.Deadline
 	cancel := opts.Cancel
 	hbHist := opts.HeartbeatHist
+	hook := opts.StepHook
 	lastBeat := start
 
 	c := sim.Core()
@@ -269,6 +190,9 @@ func RunGuardedDecoded(sim *core.Simulator, pd *trace.PreDecoded, from int, opts
 	warm := sl.Warmup
 	n := 0
 	for i := from; i < len(insts); i++ {
+		if hook != nil {
+			hook(i)
+		}
 		c.StepDecoded(&insts[i], meta[i])
 		n++
 		if i+1 == warm {
@@ -334,11 +258,16 @@ func BackoffCeiling(attempt int) time.Duration {
 	return d
 }
 
-// RunWithRetry runs sl guarded, retrying with a fresh simulator (bounded
-// backoff between attempts) up to retries extra times. The first attempt
-// uses sim if non-nil (a pooled instance the caller already Reset); every
-// retry builds a fresh one via build, because the dominant cause of a
-// retryable failure is exactly a corrupted pooled instance.
+// RunWithRetryFunc runs one slice guarded, retrying with a fresh
+// simulator (bounded backoff between attempts) up to retries extra
+// times. run(sim, attempt) performs one isolated execution (attempt is
+// 1-based); the sweep harness uses it to vary the strategy across
+// attempts — a warm-state fork first, a cold full replay on retry, so a
+// poisoned snapshot can never fail a slice permanently. The first
+// attempt uses sim if non-nil (a pooled instance the caller already
+// Reset); every retry builds a fresh one via build, because the
+// dominant cause of a retryable failure is exactly a corrupted pooled
+// instance.
 //
 // A KindCanceled failure short-circuits: cancellation is a caller
 // decision, not a transient fault, so it is returned immediately with no
@@ -348,18 +277,6 @@ func BackoffCeiling(attempt int) time.Duration {
 // pooling; nil if every attempt failed), the per-attempt failures
 // (empty on first-attempt success; the last entry carries the final
 // Attempts count), and whether the slice ultimately succeeded.
-func RunWithRetry(sim *core.Simulator, build func() *core.Simulator, sl *trace.Slice, opts Options, retries int) (core.Result, *core.Simulator, []SliceFailure, bool) {
-	return RunWithRetryFunc(sim, build, retries, func(s *core.Simulator, _ int) (core.Result, *SliceFailure) {
-		return RunGuarded(s, sl, opts)
-	})
-}
-
-// RunWithRetryFunc is RunWithRetry generalized over the guarded attempt
-// itself: run(sim, attempt) performs one isolated execution (attempt is
-// 1-based). The sweep harness uses it to vary the strategy across
-// attempts — a warm-state fork first, a cold full replay on retry, so a
-// poisoned snapshot can never fail a slice permanently. Discard/backoff
-// semantics are identical to RunWithRetry.
 func RunWithRetryFunc(sim *core.Simulator, build func() *core.Simulator, retries int, run func(*core.Simulator, int) (core.Result, *SliceFailure)) (core.Result, *core.Simulator, []SliceFailure, bool) {
 	var failures []SliceFailure
 	for attempt := 1; ; attempt++ {

@@ -8,11 +8,17 @@ import (
 	"time"
 
 	"exysim/internal/core"
-	"exysim/internal/isa"
+	"exysim/internal/trace"
 	"exysim/internal/workload"
 )
 
 var tinySpec = workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 8_000, WarmupFrac: 0.25, Seed: 0xE59}
+
+// guarded is the retry attempt the RunWithRetryFunc tests share: a
+// guarded full replay of sl under opts.
+func guarded(sl *trace.Slice, opts Options) func(*core.Simulator, int) (core.Result, *SliceFailure) {
+	return func(s *core.Simulator, _ int) (core.Result, *SliceFailure) { return RunGuarded(s, sl, opts) }
+}
 
 func TestRunGuardedMatchesRunBitIdentical(t *testing.T) {
 	slices := workload.Suite(tinySpec)
@@ -31,7 +37,7 @@ func TestRunGuardedMatchesRunBitIdentical(t *testing.T) {
 func TestRunGuardedRecoversPanic(t *testing.T) {
 	g := core.Generations()[0]
 	sl := workload.Suite(tinySpec)[0]
-	opts := Options{StepHook: func(n int, _ *isa.Inst) {
+	opts := Options{StepHook: func(n int) {
 		if n == 100 {
 			panic("boom at 100")
 		}
@@ -63,7 +69,7 @@ func TestRunGuardedDeadline(t *testing.T) {
 	opts := Options{
 		Deadline:       5 * time.Millisecond,
 		HeartbeatEvery: 64,
-		StepHook: func(n int, _ *isa.Inst) {
+		StepHook: func(n int) {
 			time.Sleep(200 * time.Microsecond) // 64 insts/heartbeat × 200µs ≫ 5ms
 		},
 	}
@@ -97,7 +103,7 @@ func TestRunGuardedCancelStopsMidSlice(t *testing.T) {
 	opts := Options{
 		HeartbeatEvery: 64,
 		Cancel:         cancel,
-		StepHook: func(n int, _ *isa.Inst) {
+		StepHook: func(n int) {
 			stepped = n
 			if n == 100 {
 				close(cancel)
@@ -137,7 +143,7 @@ func TestRunWithRetryDoesNotRetryCancel(t *testing.T) {
 	close(cancel)
 	builds := 0
 	build := func() *core.Simulator { builds++; return core.NewSimulator(g) }
-	_, sim, fails, ok := RunWithRetry(nil, build, sl, Options{Cancel: cancel, HeartbeatEvery: 64}, 5)
+	_, sim, fails, ok := RunWithRetryFunc(nil, build, 5, guarded(sl, Options{Cancel: cancel, HeartbeatEvery: 64}))
 	if ok {
 		t.Fatal("canceled run must not report success")
 	}
@@ -212,14 +218,14 @@ func TestRunWithRetryTransientFault(t *testing.T) {
 	ref := core.RunSlice(g, sl)
 
 	fired := false
-	opts := Options{CheckInvariants: true, StepHook: func(n int, _ *isa.Inst) {
+	opts := Options{CheckInvariants: true, StepHook: func(n int) {
 		if n == 50 && !fired {
 			fired = true
 			panic("transient")
 		}
 	}}
 	build := func() *core.Simulator { return core.NewSimulator(g) }
-	res, sim, fails, ok := RunWithRetry(core.NewSimulator(g), build, sl, opts, 2)
+	res, sim, fails, ok := RunWithRetryFunc(core.NewSimulator(g), build, 2, guarded(sl, opts))
 	if !ok {
 		t.Fatalf("transient fault should recover on retry: %+v", fails)
 	}
@@ -237,13 +243,13 @@ func TestRunWithRetryTransientFault(t *testing.T) {
 func TestRunWithRetryPersistentFaultQuarantines(t *testing.T) {
 	g := core.Generations()[0]
 	sl := workload.Suite(tinySpec)[0]
-	opts := Options{StepHook: func(n int, _ *isa.Inst) {
+	opts := Options{StepHook: func(n int) {
 		if n == 50 {
 			panic("persistent")
 		}
 	}}
 	build := func() *core.Simulator { return core.NewSimulator(g) }
-	_, sim, fails, ok := RunWithRetry(nil, build, sl, opts, 2)
+	_, sim, fails, ok := RunWithRetryFunc(nil, build, 2, guarded(sl, opts))
 	if ok {
 		t.Fatal("persistent fault must not succeed")
 	}

@@ -237,6 +237,21 @@ func TestExtractCopiesAndCarriesWeight(t *testing.T) {
 	}
 }
 
+// sliceReader streams an in-memory instruction slice through the
+// trace.Reader interface the streaming passes consume.
+type sliceReader struct {
+	insts []isa.Inst
+	pos   int
+}
+
+func (r *sliceReader) Next() (isa.Inst, error) {
+	if r.pos == len(r.insts) {
+		return isa.Inst{}, trace.ErrEnd
+	}
+	r.pos++
+	return r.insts[r.pos-1], nil
+}
+
 func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	sl := twoPhaseTrace(8, 10_000)
 	cfg := DefaultConfig()
@@ -244,8 +259,7 @@ func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := sl.Cursor()
-	got, err := AnalyzeStream(&cur, cfg)
+	got, err := AnalyzeStream(&sliceReader{insts: sl.Insts}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +280,7 @@ func TestExtractStreamMatchesExtract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := sl.Cursor()
-	got, err := ExtractStream(&cur, res, sl.Name, sl.Suite)
+	got, err := ExtractStream(&sliceReader{insts: sl.Insts}, res, sl.Name, sl.Suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +312,7 @@ func TestExtractStreamTruncatedRereadFails(t *testing.T) {
 	}
 	// One interval of stream: at most the interval-0 pick can complete,
 	// and any analysis yields at least two distinct picked intervals here.
-	short := &trace.Slice{Insts: sl.Insts[:cfg.IntervalInsts]}
+	short := &sliceReader{insts: sl.Insts[:cfg.IntervalInsts]}
 	if _, err := ExtractStream(short, res, sl.Name, sl.Suite); err == nil {
 		t.Fatal("expected error when the re-read stream is shorter than the analysis pass")
 	}

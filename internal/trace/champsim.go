@@ -167,7 +167,7 @@ func (r *champRecord) convert() isa.Inst {
 // compressed inputs) and a single pending instruction held back until the
 // next record's ip resolves its branch target. It implements Reader; it
 // never materializes the trace, so arbitrarily long traces convert with a
-// flat footprint. It is not a Resetter — compressed streams cannot rewind;
+// flat footprint. It cannot rewind — compressed streams are read once;
 // callers that need replay re-open the source.
 type ChampSimReader struct {
 	br      *bufio.Reader

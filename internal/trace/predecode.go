@@ -9,20 +9,21 @@ import (
 // PreDecoded couples a slice with its compiled decode stream: one
 // isa.Decoded byte per dynamic instruction, carrying the μop count,
 // fetch-line-boundary bit, and operand/branch classification the
-// pipeline otherwise re-derives on every step of every generation and
-// rep. The metadata is a pure function of the instruction stream —
-// generation-invariant — so one compilation serves every simulator that
-// replays the slice.
+// pipeline reads on every step (pipeline.Core.StepDecoded, the only step
+// entry point). The metadata is a pure function of the instruction
+// stream — generation-invariant — so one compilation serves every
+// simulator, generation and rep that replays the slice.
 type PreDecoded struct {
 	Slice *Slice
 	Meta  []isa.Decoded
 }
 
-// PreDecode compiles the slice's decode stream. The DecNewLine bit of
-// instruction i encodes whether its 64B fetch line differs from
-// instruction i-1's (instruction 0 always starts a line, matching a
-// cold core's sentinel fetch line), so a replay from any position i>0
-// sees exactly the bits the classic step path would derive there.
+// PreDecode compiles the slice's decode stream: Meta[i] is
+// isa.Decode(&Insts[i]), plus DecNewLine when instruction i's 64B fetch
+// line differs from instruction i-1's. Instruction 0 always starts a
+// line, as it does on a cold core, and because the bit depends only on
+// the stream predecessor, a replay forked at any position i>0 (the
+// warmup boundary) sees the same bits as a full replay.
 func (s *Slice) PreDecode() *PreDecoded {
 	meta := make([]isa.Decoded, len(s.Insts))
 	prevLine := ^uint64(0)

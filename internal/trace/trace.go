@@ -17,20 +17,18 @@ import (
 // It aliases io.EOF so callers can use errors.Is(err, io.EOF) as well.
 var ErrEnd = io.EOF
 
-// Reader yields the dynamic instruction stream of one workload slice.
+// Reader streams a dynamic instruction stream one record at a time, for
+// sources too large to hold in memory (ChampSimReader feeds the SimPoint
+// passes this way). In-memory slices are indexed instead.
 type Reader interface {
 	// Next returns the next instruction, or ErrEnd after the last one.
 	Next() (isa.Inst, error)
 }
 
-// Resetter is implemented by readers that can rewind to the beginning,
-// letting one slice be replayed across all six core generations.
-type Resetter interface {
-	Reset()
-}
-
-// Slice is an in-memory trace with metadata. It implements Reader and
-// Resetter. The zero value is an empty trace.
+// Slice is an in-memory trace with metadata. Replays step its
+// pre-decoded stream (PreDecode) by index and never write Insts, so one
+// slice is safely shared by every simulator and goroutine that replays
+// it. The zero value is an empty trace.
 type Slice struct {
 	// Name identifies the workload slice (e.g. "spec.mcf-like/3").
 	Name string
@@ -60,32 +58,13 @@ type Slice struct {
 	Cluster int
 
 	Insts []isa.Inst
-	pos   int
 }
 
-// Cursor returns an independent replay cursor over the same trace: a
-// value copy sharing the read-only Insts backing array, rewound to the
-// start. It is the one sanctioned way to replay a slice concurrently —
-// each goroutine drives its own cursor while the instruction storage is
-// shared untouched.
-func (s *Slice) Cursor() Slice {
-	c := *s
-	c.pos = 0
-	return c
-}
-
-// Next implements Reader.
-func (s *Slice) Next() (isa.Inst, error) {
-	if s.pos >= len(s.Insts) {
-		return isa.Inst{}, ErrEnd
-	}
-	in := s.Insts[s.pos]
-	s.pos++
-	return in, nil
-}
-
-// Reset implements Resetter.
-func (s *Slice) Reset() { s.pos = 0 }
+// Cursor returns a value copy of the slice sharing the read-only Insts
+// backing array. Replays index the shared storage directly, so a copy is
+// never needed for concurrency; it remains for callers that want a Slice
+// value.
+func (s *Slice) Cursor() Slice { return *s }
 
 // Len returns the total dynamic instruction count.
 func (s *Slice) Len() int { return len(s.Insts) }

@@ -25,30 +25,6 @@ func sample() *Slice {
 	}
 }
 
-func TestReaderYieldsAllThenEnd(t *testing.T) {
-	s := sample()
-	n := 0
-	for {
-		_, err := s.Next()
-		if err == ErrEnd {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != len(s.Insts) {
-		t.Fatalf("read %d of %d", n, len(s.Insts))
-	}
-	// Reset replays.
-	s.Reset()
-	in, err := s.Next()
-	if err != nil || in.PC != 0x1000 {
-		t.Fatalf("reset failed: %v %v", in, err)
-	}
-}
-
 func TestValidateAcceptsConsistentTrace(t *testing.T) {
 	if err := sample().Validate(); err != nil {
 		t.Fatal(err)

@@ -87,8 +87,8 @@ type Meta struct {
 }
 
 // Population couples a population's metadata with its decoded slices
-// (in Meta.Slices order). Slices are shared read-only: replay through
-// cursors (trace.Slice.Cursor), never through the stored slice itself.
+// (in Meta.Slices order). Slices are shared read-only; every replay path
+// only reads them.
 type Population struct {
 	Meta   Meta
 	Slices []*trace.Slice

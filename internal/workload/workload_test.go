@@ -5,7 +5,6 @@ import (
 
 	"exysim/internal/isa"
 	"exysim/internal/rng"
-	"exysim/internal/trace"
 )
 
 // allFamilies returns one representative generator per family plus the
@@ -307,7 +306,5 @@ func BenchmarkGenerateSpecInt(b *testing.B) {
 		fam.Gen(i, 50000, 5000, 0xE59)
 	}
 }
-
-var _ trace.Reader = (*trace.Slice)(nil)
 
 var _ = rng.Mix64 // keep import for doc reference

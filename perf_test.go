@@ -1,6 +1,7 @@
 // Guard tests for the hot-path performance properties: the steady-state
-// step loop must not allocate, and population runs must be bit-identical
-// regardless of worker scheduling.
+// step loop must not allocate, a guarded slice replay allocates a
+// constant amount whatever its length, and population runs must be
+// bit-identical regardless of worker scheduling.
 package exysim
 
 import (
@@ -8,17 +9,20 @@ import (
 	"testing"
 
 	"exysim/internal/core"
+	"exysim/internal/robust"
+	"exysim/internal/trace"
 	"exysim/internal/workload"
 )
 
-// TestStepLoopDoesNotAllocate pins the zero-allocation property of the
-// measured region: after warmup, stepping instructions through the
-// heaviest configuration (M6) performs no heap allocations. Every
-// microarchitectural table is preallocated at construction and every
-// prefetch engine returns requests through a reused buffer, so a
-// regression here means a new allocation crept into the per-instruction
-// path.
-func TestStepLoopDoesNotAllocate(t *testing.T) {
+// TestDecodedStepLoopDoesNotAllocate pins the zero-allocation property
+// of the measured region: after warmup, stepping pre-decoded (inst,
+// meta) pairs through the heaviest configuration (M6) performs no heap
+// allocations. Every microarchitectural table is preallocated at
+// construction, every prefetch engine returns requests through a reused
+// buffer, and the loop indexes the shared stream instead of copying
+// instructions, so a regression here means a new allocation crept into
+// the per-instruction path.
+func TestDecodedStepLoopDoesNotAllocate(t *testing.T) {
 	g, ok := core.GenByName("M6")
 	if !ok {
 		t.Fatal("M6 missing")
@@ -27,31 +31,64 @@ func TestStepLoopDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pd := sl.PreDecode()
+	insts, meta := pd.Slice.Insts, pd.Meta
 	sim := core.NewSimulator(g)
 	c := sim.Core()
 	// Warm every table, ring and reused buffer with the first half of
 	// the slice.
-	half := len(sl.Insts) / 2
+	half := len(insts) / 2
 	for i := 0; i < half; i++ {
-		in := sl.Insts[i]
-		c.Step(&in)
+		c.StepDecoded(&insts[i], meta[i])
 	}
-	rest := sl.Insts[half:]
-	pos := 0
+	pos := half
 	avg := testing.AllocsPerRun(20, func() {
 		// Step a window of instructions per run so the measurement
 		// covers branches, loads, stores and prefetch trains.
 		for i := 0; i < 512; i++ {
-			in := rest[pos]
-			c.Step(&in)
+			c.StepDecoded(&insts[pos], meta[pos])
 			pos++
-			if pos == len(rest) {
-				pos = 0
+			if pos == len(insts) {
+				pos = half
 			}
 		}
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state step loop allocates: %.1f allocs per 512-inst window, want 0", avg)
+	}
+}
+
+// TestRunGuardedAllocsConstant pins that a whole guarded replay — the
+// loop behind served slice jobs — allocates a constant handful of
+// objects (the pre-decoded stream, the Result's power breakdown), the
+// same for a slice five times longer: nothing escapes per instruction.
+// On the 50K-instruction M6 slice that is at most 8 allocations.
+func TestRunGuardedAllocsConstant(t *testing.T) {
+	g, ok := core.GenByName("M6")
+	if !ok {
+		t.Fatal("M6 missing")
+	}
+	long, err := workload.ByName("specint/0", benchSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &trace.Slice{Name: long.Name, Suite: long.Suite, Warmup: long.Warmup / 5, Insts: long.Insts[:len(long.Insts)/5]}
+	sim := core.NewSimulator(g)
+	allocs := func(sl *trace.Slice) float64 {
+		return testing.AllocsPerRun(3, func() {
+			sim.Reset()
+			if _, fail := robust.RunGuarded(sim, sl, robust.Options{CheckInvariants: true}); fail != nil {
+				t.Fatal(fail)
+			}
+		})
+	}
+	l, s := allocs(long), allocs(short)
+	t.Logf("RunGuarded allocations: %.0f on %d instructions, %.0f on %d", l, len(long.Insts), s, len(short.Insts))
+	if l > 8 {
+		t.Errorf("RunGuarded on %d instructions allocates %.0f objects, want at most 8", len(long.Insts), l)
+	}
+	if l != s {
+		t.Errorf("RunGuarded allocations grow with slice length: %.0f on %d instructions, %.0f on %d", l, len(long.Insts), s, len(short.Insts))
 	}
 }
 
@@ -75,11 +112,12 @@ func TestResetAndRerunDoesNotAllocate(t *testing.T) {
 	// (MAB list, prefetch request buffers) to their steady capacity.
 	sim.Run(sl)
 	c := sim.Core()
-	insts := sl.Insts
+	pd := sl.PreDecode()
+	insts, meta := sl.Insts, pd.Meta
 	avg := testing.AllocsPerRun(5, func() {
 		sim.Reset()
 		for i := range insts {
-			c.Step(&insts[i])
+			c.StepDecoded(&insts[i], meta[i])
 		}
 	})
 	if avg != 0 {

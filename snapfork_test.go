@@ -149,43 +149,3 @@ func TestRunWithWarmSnapshotsBitIdentical(t *testing.T) {
 		t.Errorf("pooled fork pass differs from cold sweep")
 	}
 }
-
-// TestDecodedStepLoopDoesNotAllocate pins the zero-allocation property
-// of the pre-decoded measured region: stepping packed (inst, meta) pairs
-// through the heaviest configuration performs no heap allocations. The
-// classic Step path allocates when a nilable step hook forces the
-// instruction to escape; the decoded loop indexes the shared stream
-// directly, so a regression here means the fast path lost that property.
-func TestDecodedStepLoopDoesNotAllocate(t *testing.T) {
-	g, ok := core.GenByName("M6")
-	if !ok {
-		t.Fatal("M6 missing")
-	}
-	sl, err := workload.ByName("specint/0", benchSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd := sl.PreDecode()
-	insts, meta := pd.Slice.Insts, pd.Meta
-	sim := core.NewSimulator(g)
-	c := sim.Core()
-	// Warm every table, ring and reused buffer with the first half of
-	// the slice.
-	half := len(insts) / 2
-	for i := 0; i < half; i++ {
-		c.StepDecoded(&insts[i], meta[i])
-	}
-	pos := half
-	avg := testing.AllocsPerRun(20, func() {
-		for i := 0; i < 512; i++ {
-			c.StepDecoded(&insts[pos], meta[pos])
-			pos++
-			if pos == len(insts) {
-				pos = half
-			}
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("decoded steady-state step loop allocates: %.1f allocs per 512-inst window, want 0", avg)
-	}
-}
