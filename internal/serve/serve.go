@@ -13,14 +13,17 @@
 //	POST   /v1/jobs             submit (202 queued; 200 on cache hit;
 //	                            429 + Retry-After when full; 503 draining;
 //	                            413 for a body over 1 MiB)
-//	GET    /v1/jobs             list all tracked jobs
-//	GET    /v1/jobs/{id}        one job's state and result
+//	GET    /v1/jobs             list tracked jobs: every queued and running
+//	                            job plus the newest 1024 finished ones
+//	GET    /v1/jobs/{id}        one job's state and result (404 once a
+//	                            finished job is evicted from the table)
 //	GET    /v1/jobs/{id}/stream progress stream (JSONL; SSE if requested)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	POST   /v1/traces           upload a ChampSim trace (raw or .gz body);
 //	                            SimPoint-sliced into a weighted population
 //	                            and stored content-addressed (needs
-//	                            Config.TraceDir; dedup on re-upload)
+//	                            Config.TraceDir; dedup on re-upload;
+//	                            413 for a body over 1 GiB)
 //	GET    /v1/traces           list stored trace populations
 //	GET    /v1/traces/{id}      one population's metadata
 //	GET    /v1/traces/{id}/bundle  the population as a self-verifying
@@ -44,6 +47,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -159,6 +163,10 @@ type Server struct {
 	jobs     map[string]*Job
 	order    []string // insertion order for listing
 	nextID   int
+	// retired counts the terminal jobs in jobs; trimJobs keeps it at or
+	// under jobCap (maxRetainedJobs; in-package tests lower it).
+	retired int
+	jobCap  int
 
 	// testHook, when set (in-package tests only), runs at the start of
 	// every job execution — the seam that lets tests hold a worker busy
@@ -237,6 +245,7 @@ func newServer(cfg Config) *Server {
 		killRemaining: kill,
 		queue:         make(chan *Job, cfg.QueueDepth),
 		jobs:          map[string]*Job{},
+		jobCap:        maxRetainedJobs,
 		queueWait:     obs.NewHistogram(),
 		runDur:        obs.NewHistogram(),
 		streamLat:     obs.NewHistogram(),
@@ -426,6 +435,32 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for job := range s.queue {
 		s.runJob(job)
+		s.trimJobs()
+	}
+}
+
+// maxRetainedJobs bounds the job table: past this many terminal (done,
+// failed, canceled) jobs, the oldest-submitted terminal job is evicted
+// and its id answers 404. A finished job's result stays reachable
+// through the result cache by resubmitting the same request.
+const maxRetainedJobs = 1024
+
+// trimJobs records that a job just reached a terminal state and evicts
+// the oldest terminal jobs beyond jobCap. Queued and running jobs are
+// never evicted.
+func (s *Server) trimJobs() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.retired++
+	for i := 0; s.retired > s.jobCap && i < len(s.order); {
+		id := s.order[i]
+		if !s.jobs[id].view().Status.terminal() {
+			i++
+			continue
+		}
+		delete(s.jobs, id)
+		s.order = slices.Delete(s.order, i, i+1)
+		s.retired--
 	}
 }
 

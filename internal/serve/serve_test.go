@@ -692,6 +692,95 @@ func TestCheckpointDirCreated(t *testing.T) {
 	}
 }
 
+// TestJobTableBounded submits past a lowered job-table cap: the oldest
+// finished jobs are evicted and answer 404, the listing and healthz
+// count stop growing, and a running job is kept however old it is —
+// until it finishes and becomes the oldest finished job itself.
+func TestJobTableBounded(t *testing.T) {
+	release := make(chan struct{})
+	s := newServer(Config{Workers: 2, QueueDepth: 16})
+	s.jobCap = 3
+	s.testHook = func(j *Job) {
+		if j.req.Slice == "specint/0" {
+			<-release
+		}
+	}
+	s.startWorkers()
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	slice := func(name string) JobRequest {
+		req := specRequest(serveSpec)
+		req.Kind, req.Gen, req.Slice = "slice", "M1", name
+		return req
+	}
+	code := func(id string) int {
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	tracked := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if len(s.jobs) != len(s.order) {
+			t.Fatalf("job table has %d entries but lists %d", len(s.jobs), len(s.order))
+		}
+		return len(s.jobs)
+	}
+
+	_, held := postJob(t, ts, slice("specint/0"))
+	waitFor(t, func() bool { return s.running.Load() == 1 })
+	var done []string
+	for _, name := range []string{"web/0", "web/1", "mobile/0", "mobile/1", "game/0", "game/1"} {
+		resp, v := postJob(t, ts, slice(name))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: %d, want 202", name, resp.StatusCode)
+		}
+		if got := waitJob(t, ts, v.ID); got.Status != StatusDone {
+			t.Fatalf("%s: %s (%s)", name, got.Status, got.Error)
+		}
+		done = append(done, v.ID)
+	}
+	waitFor(t, func() bool { return tracked() == 4 })
+	for i, id := range done {
+		want := http.StatusOK
+		if i < len(done)-3 {
+			want = http.StatusNotFound
+		}
+		if got := code(id); got != want {
+			t.Errorf("finished job %d (%s): %d, want %d", i, id, got, want)
+		}
+	}
+	if v := getJob(t, ts, held.ID); v.Status != StatusRunning {
+		t.Fatalf("oldest job is running but reads %s", v.Status)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h HealthDoc
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil || h.JobsTracked != 4 {
+		t.Fatalf("healthz jobs_tracked = %d (err %v), want 4", h.JobsTracked, err)
+	}
+
+	close(release)
+	waitFor(t, func() bool { return s.running.Load() == 0 && tracked() == 3 })
+	if got := code(held.ID); got != http.StatusNotFound {
+		t.Errorf("held job, oldest once finished: %d, want 404", got)
+	}
+	for _, id := range done[len(done)-3:] {
+		if got := code(id); got != http.StatusOK {
+			t.Errorf("newest finished job %s: %d, want 200", id, got)
+		}
+	}
+}
+
 // waitFor spins until cond holds, failing after a generous deadline.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -205,3 +205,35 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 	cancelAll()
 	wg.Wait()
 }
+
+// TestTraceUploadBodyCap drives the upload spooler at a 1 KiB cap: one
+// byte past it answers 413 and leaves no spool file behind, a body at
+// the cap spools intact. The endpoint runs the same spooler at
+// maxTraceBody.
+func TestTraceUploadBodyCap(t *testing.T) {
+	const limit = 1 << 10
+	dir := t.TempDir()
+	spool := func(body []byte) (int, string, bool) {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/traces?name=x", bytes.NewReader(body))
+		path, ok := spoolUpload(w, r, dir, limit)
+		return w.Code, path, ok
+	}
+	if code, _, ok := spool(bytes.Repeat([]byte{0xA5}, limit+1)); ok || code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("upload one byte past the cap: ok=%v, %d, want 413", ok, code)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("refused upload left %d spool files", len(left))
+	}
+	body := bytes.Repeat([]byte{0x5A}, limit)
+	_, path, ok := spool(body)
+	if !ok {
+		t.Fatal("upload at the cap refused")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("spooled upload differs from the body (err %v)", err)
+	}
+	if maxTraceBody != tracestore.DefaultBudget {
+		t.Fatalf("maxTraceBody = %d, want the store budget %d", maxTraceBody, tracestore.DefaultBudget)
+	}
+}

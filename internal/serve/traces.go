@@ -132,21 +132,12 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	opts.MaxInsts = n
 
-	tmp, err := os.CreateTemp(s.store.Root(), "upload-*.trace")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "spool upload: "+err.Error())
+	path, ok := spoolUpload(w, r, s.store.Root(), maxTraceBody)
+	if !ok {
 		return
 	}
-	defer os.Remove(tmp.Name())
-	_, err = io.Copy(tmp, r.Body)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read upload: "+err.Error())
-		return
-	}
-	pop, dedup, err := s.store.IngestFile(tmp.Name(), opts)
+	defer os.Remove(path)
+	pop, dedup, err := s.store.IngestFile(path, opts)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "ingest: "+err.Error())
 		return
@@ -158,6 +149,33 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("trace ingested", "id", pop.Meta.ID, "name", pop.Meta.Name,
 		"slices", len(pop.Slices), "insts", pop.Meta.TotalInsts, "dedup", dedup)
 	writeJSON(w, status, traceUploadDoc{Meta: pop.Meta, Dedup: dedup})
+}
+
+// maxTraceBody caps a trace upload at the trace store's resident byte
+// budget (tracestore.DefaultBudget, 1 GiB). A gzipped ChampSim trace of
+// a few hundred thousand instructions is a few MB.
+const maxTraceBody = tracestore.DefaultBudget
+
+// spoolUpload copies at most limit bytes of the request body to a new
+// temp file in dir and returns its path. A body past the limit answers
+// 413, any other read or write error 400; either way the file is
+// removed and spoolUpload returns false.
+func spoolUpload(w http.ResponseWriter, r *http.Request, dir string, limit int64) (string, bool) {
+	tmp, err := os.CreateTemp(dir, "upload-*.trace")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "spool upload: "+err.Error())
+		return "", false
+	}
+	_, err = io.Copy(tmp, http.MaxBytesReader(w, r.Body, limit))
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		writeBodyError(w, "upload", err)
+		return "", false
+	}
+	return tmp.Name(), true
 }
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
