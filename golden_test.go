@@ -98,16 +98,16 @@ func TestGoldenTiny(t *testing.T) {
 		Results:  map[string]map[string]string{},
 		Timeline: map[string]goldenTimeline{},
 	}
-	// The replay paths run one generation per parallel subtest, each on a
-	// private copy of the suite so no slice is replayed from two
-	// goroutines at once.
+	// The replay paths run one generation per parallel subtest over the
+	// sweep's own slices: replays only read a slice, so under -race this
+	// also checks that concurrent replays share no mutable slice state.
+	slices := p.Slices
 	columns := make([]map[string]string, len(gens))
 	timelines := make([]goldenTimeline, len(gens))
 	t.Run("paths", func(t *testing.T) {
 		for g, gen := range gens {
 			t.Run(gen.Name, func(t *testing.T) {
 				t.Parallel()
-				slices := workload.Suite(spec)
 				col := map[string]string{}
 				for s, sl := range slices {
 					want := resultDigest(t, p.Results[g][s])
@@ -141,7 +141,6 @@ func TestGoldenTiny(t *testing.T) {
 		got.Timeline[gen.Name] = timelines[g]
 	}
 
-	slices := workload.Suite(spec)
 	m6, _ := core.GenByName("M6")
 	pair := []int{0, len(slices) - 1}
 	got.Cluster.Gen = m6.Name

@@ -441,8 +441,8 @@ func (s *Server) worker() {
 
 // maxRetainedJobs bounds the job table: past this many terminal (done,
 // failed, canceled) jobs, the oldest-submitted terminal job is evicted
-// and its id answers 404. A finished job's result stays reachable
-// through the result cache by resubmitting the same request.
+// and its id answers 404. Resubmitting its request may still be
+// answered from the result cache.
 const maxRetainedJobs = 1024
 
 // trimJobs records that a job just reached a terminal state and evicts

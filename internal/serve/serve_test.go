@@ -698,6 +698,8 @@ func TestCheckpointDirCreated(t *testing.T) {
 // until it finishes and becomes the oldest finished job itself.
 func TestJobTableBounded(t *testing.T) {
 	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
 	s := newServer(Config{Workers: 2, QueueDepth: 16})
 	s.jobCap = 3
 	s.testHook = func(j *Job) {
@@ -706,7 +708,10 @@ func TestJobTableBounded(t *testing.T) {
 		}
 	}
 	s.startWorkers()
-	defer s.Shutdown(context.Background())
+	defer func() {
+		free() // a failed check must not leave Shutdown waiting on the held job
+		s.Shutdown(context.Background())
+	}()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -769,7 +774,7 @@ func TestJobTableBounded(t *testing.T) {
 		t.Fatalf("healthz jobs_tracked = %d (err %v), want 4", h.JobsTracked, err)
 	}
 
-	close(release)
+	free()
 	waitFor(t, func() bool { return s.running.Load() == 0 && tracked() == 3 })
 	if got := code(held.ID); got != http.StatusNotFound {
 		t.Errorf("held job, oldest once finished: %d, want 404", got)
