@@ -233,7 +233,4 @@ func TestTraceUploadBodyCap(t *testing.T) {
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("spooled upload differs from the body (err %v)", err)
 	}
-	if maxTraceBody != tracestore.DefaultBudget {
-		t.Fatalf("maxTraceBody = %d, want the store budget %d", maxTraceBody, tracestore.DefaultBudget)
-	}
 }
