@@ -73,7 +73,7 @@ serve-smoke:
 # simulator pool keeps at most seven configurations idle, with no
 # M1-M6 rebuilds while one-shot M7 jobs pass through a server.
 snapfork-smoke:
-	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate|TestRunGuardedAllocsConstant' . && \
+	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate|TestStepLoopDoesNotAllocate|TestRunGuardedAllocsConstant' . && \
 	$(GO) test -race -run 'TestZeroScan|TestClearDirty' ./internal/snapshot/ && \
 	$(GO) test -race -run 'TestWarmAdmission|TestSimPoolBound' ./internal/experiments/ && \
 	$(GO) test -race -run 'TestSliceJobMatchesDirectRun|TestAdmissionMetricsExported' ./internal/serve/

@@ -58,6 +58,46 @@ func TestDecodedStepLoopDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestStepLoopDoesNotAllocate pins that the step entry point does not
+// let its instruction argument escape: after warmup, stepping a
+// stack-local copy of each instruction through M6 performs no heap
+// allocations. TestDecodedStepLoopDoesNotAllocate points into the shared
+// stream, which already lives on the heap, so it cannot see an escape; a
+// caller that steps an instruction it built or copied (a hook, a
+// generator, a streamed trace) would pay one allocation per instruction.
+func TestStepLoopDoesNotAllocate(t *testing.T) {
+	g, ok := core.GenByName("M6")
+	if !ok {
+		t.Fatal("M6 missing")
+	}
+	sl, err := workload.ByName("specint/0", benchSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := sl.PreDecode().Meta
+	sim := core.NewSimulator(g)
+	c := sim.Core()
+	half := len(sl.Insts) / 2
+	for i := 0; i < half; i++ {
+		in := sl.Insts[i]
+		c.StepDecoded(&in, meta[i])
+	}
+	pos := half
+	avg := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 512; i++ {
+			in := sl.Insts[pos]
+			c.StepDecoded(&in, meta[pos])
+			pos++
+			if pos == len(sl.Insts) {
+				pos = half
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("stepping instruction copies allocates: %.1f allocs per 512-inst window, want 0", avg)
+	}
+}
+
 // TestRunGuardedAllocsConstant pins that a whole guarded replay — the
 // loop behind served slice jobs — allocates a constant handful of
 // objects (the pre-decoded stream, the Result's power breakdown), the
