@@ -79,15 +79,20 @@ snapfork-smoke:
 	$(GO) test -race -run 'TestSliceJobMatchesDirectRun|TestAdmissionMetricsExported' ./internal/serve/
 
 # fabric-smoke races the distributed sweep fabric end to end: shard
-# planning/merge bit-identity under random partitions, the coordinator's
-# lease/steal/cache protocol, parked leases (woken by a submit and by
-# every requeue, bounded waits, a worker that never spins, drain
-# releasing parked leases in process and over HTTP), and a 3-worker
-# HTTP sweep with a worker killed mid-sweep whose lease must be stolen
-# and whose merged result must stay byte-identical to a single-process
-# run.
+# planning/merge bit-identity under random partitions, with the shards
+# also computed in random RunShards batches that must match one-shard
+# runs byte for byte, failure records and retries included; the
+# coordinator's lease/steal/cache protocol, including the worker-less
+# local batch (one runner call, no Poll wait) and a cache that admits
+# clean shards only; parked leases (woken by a submit and by every
+# requeue, bounded waits, a worker that never spins, drain releasing
+# parked leases in process and over HTTP); a 3-worker HTTP sweep with a
+# worker killed mid-sweep whose lease must be stolen and whose merged
+# result must stay byte-identical to a single-process run; worker-less
+# daemons answering M7 sweeps' M1-M6 columns from the shard cache; and
+# the trace-population shard merge.
 fabric-smoke:
-	$(GO) test -race -run 'TestFabric|TestMergeShards|TestPlanShards' \
+	$(GO) test -race -run 'TestFabric|TestMergeShards|TestPlanShards|TestRunShards|TestM7WorkerlessReusesShardCache|TestTraceShard' \
 		./internal/fabric/... ./internal/serve/ ./internal/experiments/
 
 # trace-smoke races the real-trace pipeline end to end: streaming

@@ -516,8 +516,8 @@ func measureFabric(reps int, smoke bool) *PopResult {
 	for i := 0; i < workers; i++ {
 		pool := experiments.NewSimPool()
 		warmCache := experiments.NewWarmCache()
-		run := func(ctx context.Context, job fabric.ShardJob) (*experiments.ShardDoc, error) {
-			return experiments.RunShard(ctx, job.Spec, job.Unit,
+		run := func(ctx context.Context, job fabric.ShardJob) ([]*experiments.ShardDoc, error) {
+			return experiments.RunShards(ctx, job.Spec, job.Units,
 				experiments.WithSimPool(pool),
 				experiments.WithWarmSnapshots(warmCache),
 				experiments.WithWorkers(per))

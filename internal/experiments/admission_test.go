@@ -121,3 +121,27 @@ func TestSimPoolBoundKeepsSevenConfigs(t *testing.T) {
 		t.Fatal("config 2, now least recently used, kept its idle simulator")
 	}
 }
+
+// TestSimPoolBoundSparesShippedGenerations: what-ifs passing through a
+// pool that holds the shipped generations evict each other, never a
+// shipped generation, however long ago it was last used.
+func TestSimPoolBoundSparesShippedGenerations(t *testing.T) {
+	pool := NewSimPool()
+	shipped := core.Generations()
+	for _, g := range shipped {
+		pool.Put(pool.Get(g))
+	}
+	for i := 0; i < 3; i++ {
+		c := shipped[0]
+		c.Name = fmt.Sprintf("W%d", i)
+		pool.Put(pool.Get(c))
+	}
+	for _, g := range shipped {
+		if _, ok := pool.idle[poolKey(g)]; !ok {
+			t.Fatalf("shipped generation %s was evicted for a what-if", g.Name)
+		}
+	}
+	if pool.Evictions() != 2 || len(pool.idle) != maxPooledConfigs {
+		t.Fatalf("%d evictions, %d configurations idle: want the two older what-ifs gone", pool.Evictions(), len(pool.idle))
+	}
+}

@@ -52,6 +52,12 @@ type PopulationRun struct {
 	Retries  int
 	Resumed  int
 
+	// retried and resumed record the same per pair — attempts beyond the
+	// first, and whether the result came from a checkpoint — so
+	// RunShards can split Retries and Resumed across its units.
+	retried [][]int
+	resumed [][]bool
+
 	// TotalInsts and TotalCycles aggregate the simulated work across
 	// every completed (gen, slice) pair; with WallSeconds they give the
 	// simulator's own throughput for the run manifest.

@@ -25,9 +25,13 @@ import (
 //
 // The pool keeps idle simulators for at most maxPooledConfigs
 // configurations. When a simulator of one more configuration comes
-// back, the idle simulators of the configuration used (checked out or
-// returned) least recently are dropped, so a stream of one-shot what-if
-// configurations cannot grow a long-lived server's heap without bound.
+// back, the idle simulators of the what-if configuration used (checked
+// out or returned) least recently are dropped, so a stream of one-shot
+// what-if configurations cannot grow a long-lived server's heap without
+// bound. The shipped generations are never the ones dropped: a server
+// whose population jobs take M1–M6 from the fabric's shard cache may go
+// many one-shot M7 sweeps without touching them, while its slice jobs
+// still want them warm.
 //
 // All methods are safe for concurrent use.
 type SimPool struct {
@@ -43,6 +47,15 @@ type SimPool struct {
 // simulators for: the shipped generations plus one what-if, the working
 // set of a server sweeping one predictor-lab configuration at a time.
 var maxPooledConfigs = len(core.Generations()) + 1
+
+// shippedKeys are the pool keys of the shipped generations.
+var shippedKeys = func() map[string]bool {
+	keys := make(map[string]bool)
+	for _, g := range core.Generations() {
+		keys[poolKey(g)] = true
+	}
+	return keys
+}()
 
 // NewSimPool builds an empty pool.
 func NewSimPool() *SimPool {
@@ -75,8 +88,8 @@ func (p *SimPool) take(key string) *core.Simulator {
 }
 
 // give returns a healthy simulator to the pool. When key makes one
-// configuration too many, the least recently used configuration's idle
-// simulators are dropped.
+// configuration too many, the least recently used what-if
+// configuration's idle simulators are dropped.
 func (p *SimPool) give(key string, sim *core.Simulator) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -84,8 +97,11 @@ func (p *SimPool) give(key string, sim *core.Simulator) {
 	p.idle[key] = append(p.idle[key], sim)
 	p.recent = append(p.recent, key)
 	if len(p.recent) > maxPooledConfigs {
-		lru := p.recent[0]
-		p.recent = slices.Delete(p.recent, 0, 1)
+		// recent holds two distinct keys more than there are shipped
+		// generations, so at least two are what-ifs.
+		i := slices.IndexFunc(p.recent, func(k string) bool { return !shippedKeys[k] })
+		lru := p.recent[i]
+		p.recent = slices.Delete(p.recent, i, i+1)
 		p.evicted.Add(uint64(len(p.idle[lru])))
 		delete(p.idle, lru)
 	}

@@ -131,7 +131,7 @@ func TestM7SweepBitIdenticalAcrossMachinery(t *testing.T) {
 	shards := PlanShards(len(gens), len(slices), 2)
 	docs := make([]*ShardDoc, len(shards))
 	for i, sh := range shards {
-		doc, err := RunShard(ctx, spec, sh, WithGenerations(gens), WithSimPool(NewSimPool()))
+		doc, err := runShard(ctx, spec, sh, WithGenerations(gens), WithSimPool(NewSimPool()))
 		if err != nil {
 			t.Fatal(err)
 		}

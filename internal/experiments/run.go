@@ -41,10 +41,7 @@ type runConfig struct {
 	telemetry      *SweepTelemetry
 	spans          *obs.SpanTracer
 	warm           *WarmCache
-	shard          bool
-	shardG         int
-	shardLo        int
-	shardHi        int
+	units          []Shard
 	popID          string
 	popSlices      []*trace.Slice
 	gens           []core.GenConfig
@@ -160,20 +157,13 @@ func WithWarmSnapshots(w *WarmCache) Option {
 	return func(c *runConfig) { c.warm = w }
 }
 
-// WithShard restricts the sweep to generation index g's slices [lo, hi)
-// — the unit of work the distributed fabric leases to workers. The
-// returned PopulationRun keeps its full-size matrices (cells outside
-// the shard stay zero and aggregates skip them); RunShard extracts the
-// shard's cells into a wire-ready ShardDoc. Per-cell results are
-// bit-identical to an unrestricted Run's, so merging a full cover of
-// shards reproduces the single-process sweep exactly. hi is clamped to
-// the population; a shard that is empty after clamping fails Run with
-// an error.
-func WithShard(g, lo, hi int) Option {
-	return func(c *runConfig) {
-		c.shard = true
-		c.shardG, c.shardLo, c.shardHi = g, lo, hi
-	}
+// withUnits restricts the sweep to the cells of units — the batch
+// RunShards runs. The returned PopulationRun keeps its full-size
+// matrices (cells outside the units stay zero and aggregates skip
+// them). Each unit's hi is clamped to the population; a unit that is
+// empty after clamping, or that overlaps another, fails Run.
+func withUnits(units []Shard) Option {
+	return func(c *runConfig) { c.units = units }
 }
 
 // WithPopulation replaces the synthetic suite with an ingested trace
@@ -260,30 +250,44 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 	if gens == nil {
 		gens = core.Generations()
 	}
-	if cfg.shard {
-		if cfg.shardG < 0 || cfg.shardG >= len(gens) {
-			return nil, fmt.Errorf("experiments: shard generation %d outside [0, %d)", cfg.shardG, len(gens))
+	// inUnits marks the cells of a RunShards batch; nil runs every cell.
+	var inUnits [][]bool
+	total := len(gens) * len(slices)
+	if cfg.units != nil {
+		inUnits = make([][]bool, len(gens))
+		for g := range inUnits {
+			inUnits[g] = make([]bool, len(slices))
 		}
-		if cfg.shardLo < 0 {
-			cfg.shardLo = 0
-		}
-		if cfg.shardHi > len(slices) {
-			cfg.shardHi = len(slices)
-		}
-		if cfg.shardLo >= cfg.shardHi {
-			return nil, fmt.Errorf("experiments: empty shard [%d, %d) over %d slices", cfg.shardLo, cfg.shardHi, len(slices))
+		total = 0
+		for _, u := range cfg.units {
+			if u.Gen < 0 || u.Gen >= len(gens) {
+				return nil, fmt.Errorf("experiments: shard generation %d outside [0, %d)", u.Gen, len(gens))
+			}
+			lo, hi := u.clamp(len(slices))
+			if lo >= hi {
+				return nil, fmt.Errorf("experiments: empty shard [%d, %d) over %d slices", u.Lo, u.Hi, len(slices))
+			}
+			for s := lo; s < hi; s++ {
+				if inUnits[u.Gen][s] {
+					return nil, fmt.Errorf("experiments: shards overlap at (gen %d, slice %d)", u.Gen, s)
+				}
+				inUnits[u.Gen][s] = true
+			}
+			total += hi - lo
 		}
 	}
-	inShard := func(g, s int) bool {
-		return !cfg.shard || (g == cfg.shardG && s >= cfg.shardLo && s < cfg.shardHi)
-	}
+	inShard := func(g, s int) bool { return inUnits == nil || inUnits[g][s] }
 	p := &PopulationRun{Spec: spec, Gens: gens, Slices: slices, PopID: cfg.popID}
 	p.Results = make([][]core.Result, len(gens))
 	p.Failed = make([][]bool, len(gens))
+	p.retried = make([][]int, len(gens))
+	// done marks the pairs restored from the checkpoint.
 	done := make([][]bool, len(gens))
+	p.resumed = done
 	for g := range gens {
 		p.Results[g] = make([]core.Result, len(slices))
 		p.Failed[g] = make([]bool, len(slices))
+		p.retried[g] = make([]int, len(slices))
 		done[g] = make([]bool, len(slices))
 	}
 
@@ -318,10 +322,6 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 		defer ckpt.Close()
 	}
 
-	total := len(gens) * len(slices)
-	if cfg.shard {
-		total = cfg.shardHi - cfg.shardLo
-	}
 	var doneCount atomic.Int64
 	doneCount.Store(int64(p.Resumed))
 	if cfg.onProgress != nil {
@@ -504,6 +504,7 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 					}
 					mu.Lock()
 					p.Retries += retried
+					p.retried[j.g][j.s] = retried
 					if !okRun {
 						// Quarantine: keep one record, carrying the final
 						// attempt count and last failure mode.

@@ -103,6 +103,13 @@ type ShardDoc struct {
 	// caller's slices so a shard computed over one weighting can never
 	// merge into a population with another.
 	Weights []float64 `json:"weights,omitempty"`
+
+	// Resumed counts the shard's cells restored from a checkpoint rather
+	// than simulated. It is provenance of the run that computed the doc
+	// — MergeShards sums it into PopulationRun.Resumed — so it never
+	// travels: workers run without checkpoints, and the fabric's shard
+	// cache stores docs without it.
+	Resumed int `json:"-"`
 }
 
 // UnmarshalJSON decodes a shard document with the same version rules as
@@ -121,44 +128,63 @@ func (d *ShardDoc) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// RunShard executes one shard through Run (inheriting every robustness
-// option the caller passes: pool, warm cache, retries, deadlines) and
-// extracts its cells into a ShardDoc. The per-cell results are
-// bit-identical to the same cells of an unrestricted Run.
-func RunShard(ctx context.Context, spec workload.SuiteSpec, sh Shard, opts ...Option) (*ShardDoc, error) {
+// clamp bounds the unit's slice range to an n-slice population.
+func (sh Shard) clamp(n int) (lo, hi int) {
+	return max(sh.Lo, 0), min(sh.Hi, n)
+}
+
+// RunShards computes a batch of shards in one Run — one worker pool
+// over the union of their cells, inheriting every option the caller
+// passes: pool, warm cache, workers, checkpoint/resume, retries,
+// deadlines — and cuts the result into one ShardDoc per unit, in
+// order. A cell's result, failure record and retry count do not depend
+// on which other units share its batch, so each doc is byte-identical
+// to the one a batch of that unit alone produces. Units must not
+// overlap.
+func RunShards(ctx context.Context, spec workload.SuiteSpec, units []Shard, opts ...Option) ([]*ShardDoc, error) {
 	spec = spec.Normalize()
-	p, err := Run(ctx, spec, append(append([]Option(nil), opts...), WithShard(sh.Gen, sh.Lo, sh.Hi))...)
+	p, err := Run(ctx, spec, append(append([]Option(nil), opts...), withUnits(units))...)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := sh.Lo, sh.Hi
-	if hi > len(p.Slices) {
-		hi = len(p.Slices)
-	}
-	doc := &ShardDoc{
-		SchemaVersion: ResultsSchemaVersion,
-		Digest:        sh.TraceDigest(spec, p.Gens[sh.Gen], p.PopID),
-		Gen:           sh.Gen,
-		GenName:       p.Gens[sh.Gen].Name,
-		SliceLo:       lo,
-		SliceHi:       hi,
-		Results:       append([]core.Result(nil), p.Results[sh.Gen][lo:hi]...),
-		Failures:      p.Failures,
-		Retries:       p.Retries,
-	}
-	for s := lo; s < hi; s++ {
-		if p.Failed[sh.Gen][s] {
-			doc.Failed = append([]bool(nil), p.Failed[sh.Gen][lo:hi]...)
-			break
+	docs := make([]*ShardDoc, len(units))
+	for i, sh := range units {
+		lo, hi := sh.clamp(len(p.Slices))
+		doc := &ShardDoc{
+			SchemaVersion: ResultsSchemaVersion,
+			Digest:        sh.TraceDigest(spec, p.Gens[sh.Gen], p.PopID),
+			Gen:           sh.Gen,
+			GenName:       p.Gens[sh.Gen].Name,
+			SliceLo:       lo,
+			SliceHi:       hi,
+			Results:       append([]core.Result(nil), p.Results[sh.Gen][lo:hi]...),
 		}
-	}
-	if p.Weighted() {
-		doc.Weights = make([]float64, hi-lo)
 		for s := lo; s < hi; s++ {
-			doc.Weights[s-lo] = p.Slices[s].Weight
+			doc.Retries += p.retried[sh.Gen][s]
+			if p.resumed[sh.Gen][s] {
+				doc.Resumed++
+			}
+			if p.Failed[sh.Gen][s] && doc.Failed == nil {
+				doc.Failed = append([]bool(nil), p.Failed[sh.Gen][lo:hi]...)
+			}
 		}
+		for _, f := range p.Failures {
+			if f.GenIndex == sh.Gen && f.SliceIndex >= lo && f.SliceIndex < hi {
+				doc.Failures = append(doc.Failures, f)
+			}
+		}
+		// Quarantines land in completion order; a doc lists its own in
+		// slice order so that it does not depend on scheduling.
+		sort.SliceStable(doc.Failures, func(a, b int) bool { return doc.Failures[a].SliceIndex < doc.Failures[b].SliceIndex })
+		if p.Weighted() {
+			doc.Weights = make([]float64, hi-lo)
+			for s := lo; s < hi; s++ {
+				doc.Weights[s-lo] = p.Slices[s].Weight
+			}
+		}
+		docs[i] = doc
 	}
-	return doc, nil
+	return docs, nil
 }
 
 // MergeShards reassembles a full cover of shard documents into the
@@ -240,6 +266,7 @@ func MergeShards(spec workload.SuiteSpec, gens []core.GenConfig, slices []*trace
 		}
 		p.Failures = append(p.Failures, d.Failures...)
 		p.Retries += d.Retries
+		p.Resumed += d.Resumed
 	}
 	for g := range gens {
 		for s := range slices {

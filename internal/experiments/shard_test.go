@@ -9,16 +9,31 @@ import (
 	"testing"
 
 	"exysim/internal/core"
+	"exysim/internal/robust"
+	"exysim/internal/robust/faultinject"
 	"exysim/internal/workload"
 )
 
 var shardSpec = workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 3_000, WarmupFrac: 0.25, Seed: 0xFAB}
 
+// runShard computes one shard alone: a RunShards batch of one unit, as
+// a fabric worker runs a grant.
+func runShard(ctx context.Context, spec workload.SuiteSpec, sh Shard, opts ...Option) (*ShardDoc, error) {
+	docs, err := RunShards(ctx, spec, []Shard{sh}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return docs[0], nil
+}
+
 // TestMergeShardsBitIdentical is the fabric's core correctness
 // property: splitting a sweep into any partition of (generation,
 // slice-range) shards, running the shards concurrently, shipping each
 // ShardDoc through its JSON wire form, and merging in any order must
-// reproduce the single-process SummaryDoc byte for byte.
+// reproduce the single-process SummaryDoc byte for byte. Computing
+// random sets of the same shards as RunShards batches, as a
+// coordinator's local runner does, must yield the same docs byte for
+// byte, and those docs merge to the same summary.
 func TestMergeShardsBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	spec := shardSpec.Normalize()
@@ -56,7 +71,7 @@ func TestMergeShardsBitIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(i int, sh Shard) {
 				defer wg.Done()
-				d, err := RunShard(ctx, spec, sh)
+				d, err := runShard(ctx, spec, sh)
 				if err != nil {
 					errs[i] = err
 					return
@@ -97,6 +112,95 @@ func TestMergeShardsBitIdentical(t *testing.T) {
 		if merged.TotalInsts != ref.TotalInsts || merged.TotalCycles != ref.TotalCycles {
 			t.Fatalf("trial %d: totals differ: insts %d/%d cycles %d/%d", trial, merged.TotalInsts, ref.TotalInsts, merged.TotalCycles, ref.TotalCycles)
 		}
+
+		// The same shards in random batches: cut the shuffled list at
+		// random points and run each piece as one RunShards call.
+		batched := make([]*ShardDoc, 0, len(shards))
+		for lo := 0; lo < len(shards); {
+			hi := lo + 1 + rng.IntN(len(shards)-lo)
+			got, err := RunShards(ctx, spec, shards[lo:hi], WithWorkers(1+rng.IntN(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != hi-lo {
+				t.Fatalf("trial %d: batch of %d units returned %d docs", trial, hi-lo, len(got))
+			}
+			for k, d := range got {
+				one, _ := json.Marshal(docs[lo+k])
+				many, _ := json.Marshal(d)
+				if !bytes.Equal(one, many) {
+					t.Fatalf("trial %d: shard %+v computed in a batch of %d differs from computing it alone:\n  alone: %s\n  batch: %s",
+						trial, shards[lo+k], hi-lo, one, many)
+				}
+			}
+			batched = append(batched, got...)
+			lo = hi
+		}
+		merged, err = MergeShards(spec, gens, slices, batched)
+		if err != nil {
+			t.Fatalf("trial %d: merge of batched docs: %v", trial, err)
+		}
+		if got, _ := json.Marshal(merged.SummaryDoc()); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: batched shards merge to a different summary", trial)
+		}
+	}
+
+	// Overlapping units in one batch are refused, not double-counted.
+	if _, err := RunShards(ctx, spec, []Shard{{Gen: 0, Lo: 0, Hi: 2}, {Gen: 0, Lo: 1, Hi: 3}}); err == nil {
+		t.Fatal("RunShards accepted overlapping units")
+	}
+}
+
+// TestRunShardsKeepsFaultsPerUnit: a batch charges each retry and
+// quarantine to the unit holding its pair, so every doc — failure
+// records, mask and retry count included — is byte-identical to the one
+// its unit run alone produces under the same faults.
+func TestRunShardsKeepsFaultsPerUnit(t *testing.T) {
+	ctx := context.Background()
+	spec := shardSpec.Normalize()
+	units := PlanShards(len(core.Generations()), len(workload.Suite(spec)), 3)
+	faults := []Option{
+		WithRetries(1),
+		// (1, 2) panics once and recovers on its retry; (4, 5) returns
+		// a NaN IPC every time and is quarantined after its retry.
+		WithStepHooks(func(g, s int) robust.StepHook {
+			if g == 1 && s == 2 {
+				return faultinject.PanicOnce(100)
+			}
+			return nil
+		}),
+		WithResultHooks(func(g, s int) robust.ResultHook {
+			if g == 4 && s == 5 {
+				return faultinject.NaNIPC
+			}
+			return nil
+		}),
+	}
+	batch, err := RunShards(ctx, spec, units, faults...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retries, failures := 0, 0
+	for i, sh := range units {
+		alone, err := runShard(ctx, spec, sh, faults...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(alone)
+		b, _ := json.Marshal(batch[i])
+		if !bytes.Equal(a, b) {
+			t.Fatalf("shard %+v: batch doc differs from its unit run alone:\n  alone: %s\n  batch: %s", sh, a, b)
+		}
+		retries += batch[i].Retries
+		failures += len(batch[i].Failures)
+		hasRetry := sh.Gen == 1 && sh.Lo <= 2 && 2 < sh.Hi
+		hasQuarantine := sh.Gen == 4 && sh.Lo <= 5 && 5 < sh.Hi
+		if (batch[i].Retries == 1) != (hasRetry || hasQuarantine) || (len(batch[i].Failures) == 1) != hasQuarantine || (batch[i].Failed != nil) != hasQuarantine {
+			t.Fatalf("shard %+v carries retries %d, failures %d, mask %v", sh, batch[i].Retries, len(batch[i].Failures), batch[i].Failed)
+		}
+	}
+	if retries != 2 || failures != 1 {
+		t.Fatalf("batch docs carry %d retries and %d failures, want 2 and 1", retries, failures)
 	}
 }
 
@@ -109,11 +213,11 @@ func TestMergeShardsDeterministicDocs(t *testing.T) {
 	gens := core.Generations()
 	sh := Shard{Gen: 1, Lo: 0, Hi: 2}
 
-	a, err := RunShard(ctx, spec, sh)
+	a, err := runShard(ctx, spec, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunShard(ctx, spec, sh)
+	b, err := runShard(ctx, spec, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +243,7 @@ func TestMergeShardsRejectsGapsAndOverlaps(t *testing.T) {
 	full := PlanShards(len(gens), len(slices), 0) // one shard per generation
 	docs := make([]*ShardDoc, len(full))
 	for i, sh := range full {
-		d, err := RunShard(ctx, spec, sh)
+		d, err := runShard(ctx, spec, sh)
 		if err != nil {
 			t.Fatal(err)
 		}

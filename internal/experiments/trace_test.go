@@ -160,7 +160,7 @@ func TestTraceShardMergeBitIdentical(t *testing.T) {
 	shards := PlanShards(len(gens), len(slices), 2)
 	docs := make([]*ShardDoc, len(shards))
 	for i, sh := range shards {
-		d, err := RunShard(ctx, spec, sh, WithPopulation(tracePopID, slices))
+		d, err := runShard(ctx, spec, sh, WithPopulation(tracePopID, slices))
 		if err != nil {
 			t.Fatal(err)
 		}

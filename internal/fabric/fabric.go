@@ -31,9 +31,10 @@ type Config struct {
 	EvictAfter time.Duration
 	// Poll is the coordinator's own tick while a sweep is in flight: it
 	// reaps expired leases (waking parked leases for the requeued
-	// shards) and runs the local fallback when no worker is live.
-	// Workers do not poll; their leases park until work arrives.
-	// Default 50ms.
+	// shards) and hands the sweep's pending shards to its local runner
+	// once no worker is live. Workers do not poll; their leases park
+	// until work arrives. A sweep submitted with no live worker does not
+	// wait for a tick. Default 50ms.
 	Poll time.Duration
 	// ShardSlices caps the slice-range width of a planned shard.
 	// Default 8.
@@ -74,12 +75,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// RunFunc computes one shard. The serve layer supplies one backed by
-// its simulator pool, warm cache, and trace store; exybench supplies
-// per-worker variants. A non-empty job.Trace names the population whose
-// slices replace the spec's synthetic suite; a RunFunc that cannot
-// resolve it must return an error (the shard is retried elsewhere).
-type RunFunc func(ctx context.Context, job ShardJob) (*experiments.ShardDoc, error)
+// RunFunc computes the shards job.Units names and returns one document
+// per unit, in order. A worker passes the one unit of its grant; a
+// coordinator's local runner gets every pending shard of a sweep in one
+// call. The serve layer supplies one backed by its simulator pool, warm
+// cache, and trace store; exybench supplies per-worker variants. A
+// non-empty job.Trace names the population whose slices replace the
+// spec's synthetic suite; a RunFunc that cannot resolve it must return
+// an error (the shards are retried).
+type RunFunc func(ctx context.Context, job ShardJob) ([]*experiments.ShardDoc, error)
 
 // Stats is a point-in-time snapshot of coordinator counters, exported
 // on the serving daemon's /metrics.
@@ -97,7 +101,9 @@ type Stats struct {
 	LeasesExpired      uint64
 	Steals             uint64
 	CompletesDuplicate uint64
-	LocalRuns          uint64
+	// LocalRuns counts calls to a sweep's local runner: one per batch of
+	// shards computed on the coordinator for want of a live worker.
+	LocalRuns uint64
 
 	CacheHits      uint64
 	CacheMisses    uint64
@@ -108,9 +114,11 @@ type Stats struct {
 	// waiting for a shard to enter the queue.
 	LeaseWaiters int
 
-	// ShardWall summarizes wall seconds per completed shard as reported
-	// at Complete; WorkerWall is the merge of the cumulative summaries
-	// the live workers carry on their heartbeats.
+	// ShardWall summarizes wall seconds per computed shard: a worker's
+	// as reported at Complete, a local batch's split across its shards
+	// by cell count. Cache hits add no sample, so N×Mean is the time
+	// spent computing. WorkerWall is the merge of the cumulative
+	// summaries the live workers carry on their heartbeats.
 	ShardWall  stats.Summary
 	WorkerWall stats.Summary
 }
@@ -159,8 +167,24 @@ type sweep struct {
 	err       error
 	closed    bool
 
-	onProgress func(done, total int)
+	// Progress in (generation, slice) cells: cells of every planned
+	// shard, of the completed ones, and those the running local batch
+	// has finished (its shards are not complete yet).
+	cells, cellsDone, batchDone int
+	onProgress                  func(done, total int)
 }
+
+// reportLocked sends the sweep's cell progress to its observer. A
+// worker that steals a shard from a running local batch gets its cells
+// counted twice until the batch ends, hence the cap.
+func (sw *sweep) reportLocked() {
+	if sw.onProgress != nil {
+		sw.onProgress(min(sw.cellsDone+sw.batchDone, sw.cells), sw.cells)
+	}
+}
+
+// width is shard i's cell count.
+func (sw *sweep) width(i int) int { return sw.shards[i].Hi - sw.shards[i].Lo }
 
 // SubmitReq describes one sweep handed to Coordinator.Submit.
 type SubmitReq struct {
@@ -175,11 +199,15 @@ type SubmitReq struct {
 	// the same slices, and it enters the shard digests so trace sweeps
 	// and synthetic sweeps can never alias in the result cache.
 	Trace string
-	// OnProgress, if set, observes (completed, planned) shard counts.
+	// OnProgress, if set, observes (done, total) counts of (generation,
+	// slice) cells: a cached shard's cells count at planning, a worker's
+	// shard at its completion, and a local batch's cells as they finish.
 	OnProgress func(done, total int)
 	// Local computes shards on the coordinator itself whenever no live
-	// worker exists — the liveness fallback that makes a fabric-routed
-	// sweep at worst a single-process sweep.
+	// worker exists — at submit, or once every worker has left — taking
+	// all of the sweep's pending shards in one call. It makes a sweep on
+	// a worker-less coordinator one single-process batch over the shards
+	// the cache does not hold.
 	Local RunFunc
 }
 
@@ -196,7 +224,7 @@ type Coordinator struct {
 	cache     *shardCache
 	joinSeq   uint64
 	sweepSeq  uint64
-	localWall stats.Summary
+	shardWall stats.Summary
 
 	// wake is closed, and cleared, whenever a shard enters the queue or
 	// the coordinator starts draining; parked leases wait on it. It is
@@ -222,8 +250,9 @@ type shardRef struct {
 	idx int
 }
 
-// localWorkerID marks leases held by a Submit pump's local fallback;
-// they bypass heartbeat expiry because the fallback always completes.
+// localWorkerID marks leases held by a sweep's local batch; they bypass
+// heartbeat expiry because the batch always completes or its sweep
+// fails.
 const localWorkerID = "local"
 
 // NewCoordinator creates a coordinator with cfg's policies.
@@ -415,6 +444,16 @@ func (c *Coordinator) grantLocked(ref shardRef, w *workerState, now time.Time) *
 func (c *Coordinator) Complete(req CompleteRequest) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	err := c.completeLocked(req)
+	if sw := c.sweeps[req.SweepID]; sw != nil {
+		sw.reportLocked()
+	}
+	return err
+}
+
+// completeLocked is Complete, minus the progress report, for a worker's
+// upload and for each shard of a local batch.
+func (c *Coordinator) completeLocked(req CompleteRequest) error {
 	now := time.Now()
 	if w := c.workers[req.WorkerID]; w != nil {
 		w.lastSeen = now
@@ -448,7 +487,8 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 	if req.Doc.Digest != sw.digests[req.Shard] {
 		return fmt.Errorf("fabric: shard %d digest %s does not match expected %s", req.Shard, req.Doc.Digest, sw.digests[req.Shard])
 	}
-	c.finishShardLocked(sw, req.Shard, req.Doc, req.WallSeconds)
+	c.shardWall.Add(req.WallSeconds)
+	c.finishShardLocked(sw, req.Shard, req.Doc)
 	return nil
 }
 
@@ -465,17 +505,22 @@ func (c *Coordinator) dropLeasesLocked(sw *sweep, i int, workerID string) {
 }
 
 // finishShardLocked records a completed document, feeds the cache and
-// progress, and closes the sweep when it was the last shard.
-func (c *Coordinator) finishShardLocked(sw *sweep, i int, doc *experiments.ShardDoc, wallSeconds float64) {
+// the cell count, and closes the sweep when it was the last shard.
+func (c *Coordinator) finishShardLocked(sw *sweep, i int, doc *experiments.ShardDoc) {
 	sw.state[i] = shardDone
 	sw.leases[i] = nil
 	sw.docs[i] = doc
 	sw.remaining--
+	sw.cellsDone += sw.width(i)
 	c.shardsCompleted++
-	c.localWall.Add(wallSeconds)
-	c.cache.put(sw.digests[i], doc)
-	if sw.onProgress != nil {
-		sw.onProgress(len(sw.shards)-sw.remaining, len(sw.shards))
+	// Only a shard whose every cell simulated cleanly is cached: a
+	// quarantine or a retry may be transient, and a cached doc would
+	// replay it into every later sweep sharing the digest. Checkpoint
+	// provenance belongs to this sweep alone.
+	if doc.Failed == nil && len(doc.Failures) == 0 && doc.Retries == 0 {
+		clean := *doc
+		clean.Resumed = 0
+		c.cache.put(sw.digests[i], &clean)
 	}
 	if sw.remaining == 0 {
 		close(sw.done)
@@ -561,8 +606,9 @@ func (c *Coordinator) reapLocked(now time.Time) {
 			kept := sw.leases[i][:0]
 			for _, l := range sw.leases[i] {
 				if l.worker == localWorkerID {
-					// The local fallback always completes (with a result
-					// or an error) — its lease cannot be orphaned.
+					// A local batch always completes (with results or an
+					// error) or fails its sweep — its lease cannot be
+					// orphaned.
 					kept = append(kept, l)
 					continue
 				}
@@ -594,9 +640,7 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 	return n
 }
 
-// LiveWorkers reports how many workers are currently heartbeating; the
-// serve layer routes population jobs through the fabric only when this
-// is nonzero.
+// LiveWorkers reports how many workers are currently heartbeating.
 func (c *Coordinator) LiveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -604,7 +648,7 @@ func (c *Coordinator) LiveWorkers() int {
 }
 
 // Submit plans, distributes, and merges one sweep, blocking until every
-// shard is complete (from cache, workers, or the local fallback) and
+// shard is complete (from cache, workers, or a local batch) and
 // returning a PopulationRun bit-identical to a single-process
 // experiments.Run over the same spec.
 func (c *Coordinator) Submit(ctx context.Context, req SubmitReq) (*experiments.PopulationRun, error) {
@@ -646,6 +690,7 @@ func (c *Coordinator) Submit(ctx context.Context, req SubmitReq) (*experiments.P
 		expired:    make([]bool, len(shards)),
 		remaining:  len(shards),
 		done:       make(chan struct{}),
+		cells:      len(gens) * len(slices),
 		onProgress: req.OnProgress,
 	}
 	c.sweepsSubmitted++
@@ -654,11 +699,12 @@ func (c *Coordinator) Submit(ctx context.Context, req SubmitReq) (*experiments.P
 	for i, sh := range shards {
 		sw.digests[i] = sh.TraceDigest(spec, gens[sh.Gen], req.Trace)
 		if doc := c.cache.get(sw.digests[i]); doc != nil {
-			c.finishShardLocked(sw, i, doc, 0)
+			c.finishShardLocked(sw, i, doc)
 		} else {
 			c.enqueueLocked(sw, i)
 		}
 	}
+	sw.reportLocked()
 	done := sw.remaining == 0
 	c.mu.Unlock()
 
@@ -682,12 +728,19 @@ func (c *Coordinator) Submit(ctx context.Context, req SubmitReq) (*experiments.P
 	return p, nil
 }
 
-// pump waits for the sweep, reaping leases each tick and running shards
-// locally whenever the fabric has no live workers.
+// pump waits for the sweep, reaping leases each tick. Whenever the
+// fabric has no live worker it hands every pending shard of the sweep
+// to the local runner in one batch.
 func (c *Coordinator) pump(ctx context.Context, sw *sweep, local RunFunc) error {
 	tick := time.NewTicker(c.cfg.Poll)
 	defer tick.Stop()
 	for {
+		if local != nil && ctx.Err() == nil {
+			if batch := c.claimLocal(sw); batch != nil {
+				c.runLocal(ctx, sw, batch, local)
+				continue
+			}
+		}
 		select {
 		case <-sw.done:
 			return sw.err
@@ -697,64 +750,95 @@ func (c *Coordinator) pump(ctx context.Context, sw *sweep, local RunFunc) error 
 			c.mu.Unlock()
 			return ctx.Err()
 		case <-tick.C:
+			c.mu.Lock()
+			c.reapLocked(time.Now())
+			c.mu.Unlock()
 		}
-
-		c.mu.Lock()
-		now := time.Now()
-		c.reapLocked(now)
-		var ref *shardRef
-		if local != nil && c.liveWorkersLocked(now) == 0 {
-			// No fabric: claim this sweep's oldest pending shard and run
-			// it on the coordinator so the sweep always makes progress.
-			// Other sweeps' shards stay queued for their own pumps.
-			kept := c.queue[:0]
-			for _, head := range c.queue {
-				if head.sw.closed || head.sw.state[head.idx] != shardPending {
-					continue // stale ref
-				}
-				if head.sw != sw || ref != nil {
-					kept = append(kept, head)
-					continue
-				}
-				if head.sw.expired[head.idx] {
-					// Reclaiming an expired lease is a steal even when
-					// the thief is the coordinator itself.
-					c.steals++
-					head.sw.expired[head.idx] = false
-				}
-				head.sw.state[head.idx] = shardLeased
-				head.sw.leases[head.idx] = append(head.sw.leases[head.idx], lease{worker: localWorkerID, granted: now})
-				h := head
-				ref = &h
-			}
-			c.queue = kept
-		}
-		c.mu.Unlock()
-
-		if ref == nil {
-			continue
-		}
-		c.runLocal(ctx, *ref, local)
 	}
 }
 
-// runLocal computes one shard on the coordinator and feeds it through
-// the same completion path workers use.
-func (c *Coordinator) runLocal(ctx context.Context, ref shardRef, local RunFunc) {
-	start := time.Now()
-	doc, err := local(ctx, ShardJob{Spec: ref.sw.spec, Trace: ref.sw.trace, Unit: ref.sw.shards[ref.idx], Gens: ref.sw.gensWire})
+// claimLocal leases every pending shard of sw to the local runner when
+// no worker is live and returns their indices; nil leaves the sweep's
+// work to the workers. Other sweeps' shards stay queued for their own
+// pumps.
+func (c *Coordinator) claimLocal(sw *sweep) []int {
 	c.mu.Lock()
-	c.localRuns++
-	c.mu.Unlock()
-	req := CompleteRequest{SweepID: ref.sw.id, Shard: ref.idx, WallSeconds: time.Since(start).Seconds(), Doc: doc}
-	if err != nil {
-		req.Doc, req.Error = nil, err.Error()
+	defer c.mu.Unlock()
+	now := time.Now()
+	if sw.closed || c.liveWorkersLocked(now) > 0 {
+		return nil
 	}
-	if cerr := c.Complete(req); cerr != nil {
+	var batch []int
+	kept := c.queue[:0]
+	for _, ref := range c.queue {
+		if ref.sw.closed || ref.sw.state[ref.idx] != shardPending {
+			continue // stale ref
+		}
+		if ref.sw != sw {
+			kept = append(kept, ref)
+			continue
+		}
+		if sw.expired[ref.idx] {
+			// Reclaiming an expired lease is a steal even when the thief
+			// is the coordinator itself.
+			c.steals++
+			sw.expired[ref.idx] = false
+		}
+		sw.state[ref.idx] = shardLeased
+		sw.leases[ref.idx] = append(sw.leases[ref.idx], lease{worker: localWorkerID, granted: now})
+		batch = append(batch, ref.idx)
+	}
+	c.queue = kept
+	return batch
+}
+
+// runLocal computes a batch of shards in one call of the local runner
+// and feeds each through the completion path workers use, splitting
+// the batch's wall time across its shards by cell count. A batch
+// canceled with its sweep reports nothing, as a crashed worker would.
+func (c *Coordinator) runLocal(ctx context.Context, sw *sweep, batch []int, local RunFunc) {
+	job := ShardJob{Spec: sw.spec, Trace: sw.trace, Gens: sw.gensWire, Units: make([]experiments.Shard, len(batch))}
+	cells := 0
+	for k, i := range batch {
+		job.Units[k] = sw.shards[i]
+		cells += sw.width(i)
+	}
+	job.Progress = func(done int) {
 		c.mu.Lock()
-		c.failSweepLocked(ref.sw, cerr)
-		c.mu.Unlock()
+		defer c.mu.Unlock()
+		// Run's workers report concurrently: keep the highest count.
+		if done > sw.batchDone {
+			sw.batchDone = done
+			sw.reportLocked()
+		}
 	}
+	start := time.Now()
+	docs, err := local(ctx, job)
+	wall := time.Since(start).Seconds()
+	if err == nil && len(docs) != len(batch) {
+		err = fmt.Errorf("fabric: local runner returned %d documents for %d shards", len(docs), len(batch))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.localRuns++
+	if err != nil && ctx.Err() != nil {
+		return
+	}
+	for k, i := range batch {
+		req := CompleteRequest{WorkerID: localWorkerID, SweepID: sw.id, Shard: i, WallSeconds: wall * float64(sw.width(i)) / float64(cells)}
+		if err != nil {
+			req.Error = err.Error()
+		} else {
+			req.Doc = docs[k]
+		}
+		if cerr := c.completeLocked(req); cerr != nil {
+			c.failSweepLocked(sw, cerr)
+			return
+		}
+	}
+	// The batch's cells now count through its completed shards.
+	sw.batchDone = 0
+	sw.reportLocked()
 }
 
 // Stats snapshots the coordinator counters.
@@ -779,7 +863,7 @@ func (c *Coordinator) Stats() Stats {
 		CacheEvictions:     c.cache.evictions,
 		CacheEntries:       c.cache.len(),
 		LeaseWaiters:       c.leaseWaiters,
-		ShardWall:          c.localWall,
+		ShardWall:          c.shardWall,
 	}
 	for _, w := range c.workers {
 		s.WorkerWall.Merge(w.wall)

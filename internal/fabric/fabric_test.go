@@ -5,22 +5,33 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"exysim/internal/core"
 	"exysim/internal/experiments"
+	"exysim/internal/robust"
+	"exysim/internal/robust/faultinject"
 	"exysim/internal/workload"
 )
 
 var tinySpec = workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 2_000, WarmupFrac: 0.25, Seed: 0xFA6}
 
-func simRun(ctx context.Context, job ShardJob) (*experiments.ShardDoc, error) {
+func simRun(ctx context.Context, job ShardJob) ([]*experiments.ShardDoc, error) {
 	if job.Trace != "" {
 		return nil, errors.New("simRun cannot resolve trace populations")
 	}
-	return experiments.RunShard(ctx, job.Spec, job.Unit)
+	var opts []experiments.Option
+	if len(job.Gens) > 0 {
+		opts = append(opts, experiments.WithGenerations(job.Gens))
+	}
+	if job.Progress != nil {
+		opts = append(opts, experiments.WithProgressFunc(func(done, _ int, _ uint64) { job.Progress(done) }))
+	}
+	return experiments.RunShards(ctx, job.Spec, job.Units, opts...)
 }
 
 func refSummary(t *testing.T, spec workload.SuiteSpec) []byte {
@@ -114,6 +125,129 @@ func TestFabricLocalFallback(t *testing.T) {
 	}
 	if st := c.Stats(); st.LocalRuns == 0 || st.WorkersLive != 0 {
 		t.Fatalf("fallback stats: %+v", st)
+	}
+}
+
+// TestFabricLocalBatchWithoutWorkers: with no worker live, Submit
+// hands every shard the cache does not hold to the local runner in one
+// call, without waiting for a Poll tick (an hour here). Progress counts
+// cells — the cached ones at planning — and ShardWall samples only the
+// computed shards.
+func TestFabricLocalBatchWithoutWorkers(t *testing.T) {
+	spec := tinySpec.Normalize()
+	want := refSummary(t, spec)
+	gens := core.Generations()
+	slices := workload.Suite(spec)
+	c := NewCoordinator(Config{Poll: time.Hour, ShardSlices: 4})
+	var mu sync.Mutex
+	var calls []ShardJob
+	local := func(ctx context.Context, job ShardJob) ([]*experiments.ShardDoc, error) {
+		mu.Lock()
+		calls = append(calls, job)
+		mu.Unlock()
+		return simRun(ctx, job)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	// Seed the shard cache with the first three generations.
+	if _, err := c.Submit(ctx, SubmitReq{Spec: spec, Gens: gens[:3], Slices: slices, Local: local}); err != nil {
+		t.Fatal(err)
+	}
+	seeded := c.Stats()
+	if seeded.CacheEntries == 0 || int(seeded.ShardWall.N()) != seeded.CacheEntries {
+		t.Fatalf("seeding sweep: %d shards cached, %d wall samples", seeded.CacheEntries, seeded.ShardWall.N())
+	}
+
+	calls = nil
+	var reports [][2]int
+	run, err := c.Submit(ctx, SubmitReq{Spec: spec, Slices: slices, Local: local, OnProgress: func(done, total int) {
+		reports = append(reports, [2]int{done, total})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(run.SummaryDoc()); !bytes.Equal(got, want) {
+		t.Fatalf("local-batch sweep differs from single-process run:\n  want: %s\n  got:  %s", want, got)
+	}
+
+	// One call, carrying exactly the shards of generations 3..5.
+	var uncached []experiments.Shard
+	for _, sh := range experiments.PlanShards(len(gens), len(slices), 4) {
+		if sh.Gen >= 3 {
+			uncached = append(uncached, sh)
+		}
+	}
+	if len(calls) != 1 || !reflect.DeepEqual(calls[0].Units, uncached) {
+		t.Fatalf("local runner calls: %+v, want one with units %v", calls, uncached)
+	}
+	st := c.Stats()
+	if hits := st.CacheHits - seeded.CacheHits; hits != uint64(seeded.CacheEntries) {
+		t.Fatalf("cache hits = %d, want the %d seeded shards", hits, seeded.CacheEntries)
+	}
+	if st.LocalRuns != 2 {
+		t.Fatalf("local runs = %d, want one per sweep", st.LocalRuns)
+	}
+	if n := int(st.ShardWall.N()); n != seeded.CacheEntries+len(uncached) {
+		t.Fatalf("shard wall samples = %d, want %d computed shards (cache hits add none)", n, seeded.CacheEntries+len(uncached))
+	}
+
+	cells := len(gens) * len(slices)
+	if len(reports) == 0 || reports[0] != [2]int{3 * len(slices), cells} || reports[len(reports)-1] != [2]int{cells, cells} {
+		t.Fatalf("progress reports %v: want %d/%d cached at planning, %d/%d at the end", reports, 3*len(slices), cells, cells, cells)
+	}
+	for i := 1; i < len(reports); i++ {
+		if reports[i][0] < reports[i-1][0] {
+			t.Fatalf("progress went backwards: %v", reports)
+		}
+	}
+}
+
+// TestFabricCachesCleanShardsOnly: a shard whose run quarantined a pair
+// is not cached, so the next identical sweep recomputes that shard,
+// comes back clean, and takes every other shard from the cache.
+func TestFabricCachesCleanShardsOnly(t *testing.T) {
+	spec := tinySpec.Normalize()
+	want := refSummary(t, spec)
+	c := NewCoordinator(Config{Poll: time.Hour, ShardSlices: 4})
+	var faulted atomic.Bool
+	local := func(ctx context.Context, job ShardJob) ([]*experiments.ShardDoc, error) {
+		if faulted.Swap(true) {
+			return simRun(ctx, job)
+		}
+		// The first batch quarantines one pair: a transient fault.
+		return experiments.RunShards(ctx, job.Spec, job.Units, experiments.WithResultHooks(func(g, s int) robust.ResultHook {
+			if g == 2 && s == 5 {
+				return faultinject.NaNIPC
+			}
+			return nil
+		}))
+	}
+	first, err := c.Submit(context.Background(), SubmitReq{Spec: spec, Local: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Failures) != 1 {
+		t.Fatalf("first sweep failures = %d, want the injected quarantine", len(first.Failures))
+	}
+	st := c.Stats()
+	if st.CacheEntries != int(st.ShardsPlanned)-1 {
+		t.Fatalf("cached %d of %d shards, want all but the quarantined one", st.CacheEntries, st.ShardsPlanned)
+	}
+
+	second, err := c.Submit(context.Background(), SubmitReq{Spec: spec, Local: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(second.SummaryDoc()); !bytes.Equal(got, want) {
+		t.Fatalf("resweep differs from a clean single-process run:\n  want: %s\n  got:  %s", want, got)
+	}
+	st2 := c.Stats()
+	if hits := st2.CacheHits - st.CacheHits; hits != uint64(st.CacheEntries) {
+		t.Fatalf("resweep cache hits = %d, want %d", hits, st.CacheEntries)
+	}
+	if st2.CacheEntries != int(st.ShardsPlanned) {
+		t.Fatalf("after the clean recompute %d shards cached, want %d", st2.CacheEntries, st.ShardsPlanned)
 	}
 }
 

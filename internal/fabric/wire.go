@@ -93,14 +93,20 @@ type Grant struct {
 	Gens []core.GenConfig `json:"gens,omitempty"`
 }
 
-// ShardJob is the argument a RunFunc receives: one shard of one sweep,
-// plus the trace population (if any) whose slices the shard simulates.
-// A non-empty Gens replaces the default generation set.
+// ShardJob is the argument a RunFunc receives: shards of one sweep,
+// plus the trace population (if any) whose slices they simulate. A
+// non-empty Gens replaces the default generation set.
 type ShardJob struct {
 	Spec  workload.SuiteSpec
 	Trace string
-	Unit  experiments.Shard
+	// Units lists the shards to compute: a grant's one unit on a worker,
+	// every pending shard of the sweep in a coordinator's local batch.
+	Units []experiments.Shard
 	Gens  []core.GenConfig
+	// Progress, set on local batches only, observes how many of the
+	// units' cells have finished, restored checkpoint cells included.
+	// It is called concurrently.
+	Progress func(done int)
 }
 
 // CompleteRequest reports a shard outcome. Exactly one of Doc or Error

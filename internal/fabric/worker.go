@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"exysim/internal/experiments"
 	"exysim/internal/robust"
 	"exysim/internal/stats"
 )
@@ -92,7 +93,10 @@ func (w *Worker) Run(ctx context.Context) error {
 // cost a recompute.
 func (w *Worker) work(ctx context.Context, g *Grant) {
 	start := time.Now()
-	doc, err := w.run(ctx, ShardJob{Spec: g.Spec, Trace: g.Trace, Unit: g.Unit, Gens: g.Gens})
+	docs, err := w.run(ctx, ShardJob{Spec: g.Spec, Trace: g.Trace, Units: []experiments.Shard{g.Unit}, Gens: g.Gens})
+	if err == nil && len(docs) != 1 {
+		err = fmt.Errorf("fabric: shard runner returned %d documents for one shard", len(docs))
+	}
 	if ctx.Err() != nil && err != nil {
 		// Crash semantics: a canceled computation reports nothing; the
 		// lease ages out and the shard is stolen.
@@ -108,7 +112,7 @@ func (w *Worker) work(ctx context.Context, g *Grant) {
 	if err != nil {
 		req.Error = err.Error()
 	} else {
-		req.Doc = doc
+		req.Doc = docs[0]
 		w.mu.Lock()
 		w.wall.Add(wall)
 		w.mu.Unlock()

@@ -25,8 +25,8 @@ import (
 func fabricWorkerRunner() fabric.RunFunc {
 	pool := experiments.NewSimPool()
 	warm := experiments.NewWarmCache()
-	return func(ctx context.Context, job fabric.ShardJob) (*experiments.ShardDoc, error) {
-		return experiments.RunShard(ctx, job.Spec, job.Unit,
+	return func(ctx context.Context, job fabric.ShardJob) ([]*experiments.ShardDoc, error) {
+		return experiments.RunShards(ctx, job.Spec, job.Units,
 			experiments.WithSimPool(pool),
 			experiments.WithWarmSnapshots(warm),
 			experiments.WithWorkers(2))
@@ -78,7 +78,7 @@ func TestFabricShardedSweepBitIdenticalWithWorkerKill(t *testing.T) {
 	killCtx, kill := context.WithCancel(ctx)
 	defer kill()
 	var killed atomic.Bool
-	start("w2", killCtx, func(c context.Context, _ fabric.ShardJob) (*experiments.ShardDoc, error) {
+	start("w2", killCtx, func(c context.Context, _ fabric.ShardJob) ([]*experiments.ShardDoc, error) {
 		killed.Store(true)
 		kill()
 		<-c.Done()

@@ -20,6 +20,7 @@ import (
 	"exysim/internal/branch"
 	"exysim/internal/experiments"
 	"exysim/internal/fabric"
+	"exysim/internal/workload"
 )
 
 // m7Predictor is the lab spec these tests sweep: TAGE-SC-L direction
@@ -163,8 +164,8 @@ func canonicalDoc(t *testing.T, raw json.RawMessage) []byte {
 // population sweep submitted via POST /v1/jobs returns a SummaryDoc
 // with all of M1..M6 plus the hypothetical generation, byte-identical
 // whether the server ran it single-process, reran it on pooled
-// simulators capturing and then forking warm snapshots, or sharded it
-// across a fabric worker.
+// simulators capturing and then forking warm snapshots, sharded it
+// across a fabric worker, or answered it from the shard cache.
 func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 	spec := serveSpec.Normalize()
 	gens, err := experiments.HypotheticalGens("M6", "M7", m7Predictor())
@@ -181,11 +182,11 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 	}
 
 	// Paths 1 and 2: single-process cold, then warm-pooled reruns on the
-	// same server (job result cache off, so each resubmit recomputes
-	// through the shared pool and warm snapshot cache): the first rerun
-	// is each pair's second warmup and captures its image, the second
-	// forks it.
-	s := New(Config{Workers: 1, CacheEntries: -1})
+	// same server (job result and shard caches off, so each resubmit
+	// recomputes through the shared pool and warm snapshot cache): the
+	// first rerun is each pair's second warmup and captures its image,
+	// the second forks it.
+	s := New(Config{Workers: 1, CacheEntries: -1, FabricCacheShards: -1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -254,6 +255,108 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 		t.Fatalf("no M7 MPKI mean in %v", doc.Means)
 	}
 
+	// Path 4: the same job again on the fabric server, its result cache
+	// off: every shard comes from the shard cache the worker filled.
+	planned := s2.Fabric().Stats().ShardsPlanned
+	hits := s2.Metrics().Get("serve.fabric.shard_cache_hits")
+	resp, v = postJob(t, ts2, m7Request())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("shard-cache submit: %d", resp.StatusCode)
+	}
+	if final = waitJob(t, ts2, v.ID); final.Status != StatusDone {
+		t.Fatalf("shard-cache job: %s: %s", final.Status, final.Error)
+	}
+	if got := canonicalDoc(t, final.Result); !bytes.Equal(got, want) {
+		t.Fatalf("shard-cache result differs from reference:\n want %s\n got  %s", want, got)
+	}
+	if got := s2.Metrics().Get("serve.fabric.shard_cache_hits") - hits; got != float64(planned) {
+		t.Fatalf("shard-cache hits = %v, want all %d shards", got, planned)
+	}
+
 	stopWorker()
 	<-workerDone
+}
+
+// TestM7WorkerlessReusesShardCache: on a daemon with no fabric worker,
+// an M7 sweep after a plain one takes M1..M6 from the shard cache and
+// simulates only the M7 column, and its document is byte-identical to
+// experiments.Run over the hypothetical generation set — over the
+// synthetic suite and over an uploaded trace population.
+func TestM7WorkerlessReusesShardCache(t *testing.T) {
+	gens, err := experiments.HypotheticalGens("M6", "M7", m7Predictor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shardSlices = 4
+	for _, trace := range []bool{false, true} {
+		name := "synthetic"
+		if trace {
+			name = "trace"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Workers: 1, SweepParallelism: 2, FabricShardSlices: shardSlices}
+			if trace {
+				cfg.TraceDir = t.TempDir()
+			}
+			s := New(cfg)
+			defer s.Shutdown(context.Background())
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			plain := specRequest(serveSpec)
+			opts := []experiments.Option{experiments.WithGenerations(gens)}
+			slices := workload.Suite(serveSpec)
+			if trace {
+				pop, err := s.population(uploadFixture(t, ts).Meta.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain.Trace, slices = pop.Meta.ID, pop.Slices
+				opts = append(opts, experiments.WithPopulation(pop.Meta.ID, pop.Slices))
+			}
+			ref, err := experiments.Run(context.Background(), serveSpec, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(ref.SummaryDoc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(req JobRequest) json.RawMessage {
+				t.Helper()
+				resp, v := postJob(t, ts, req)
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit: %d", resp.StatusCode)
+				}
+				final := waitJob(t, ts, v.ID)
+				if final.Status != StatusDone {
+					t.Fatalf("job: %s: %s", final.Status, final.Error)
+				}
+				return final.Result
+			}
+
+			run(plain)
+			before := s.Metrics()
+			m7 := plain
+			m7.M7 = &M7Request{Base: "M6", Name: "M7", Predictor: m7Predictor()}
+			if got := canonicalDoc(t, run(m7)); !bytes.Equal(got, want) {
+				t.Fatalf("worker-less M7 sweep differs from experiments.Run:\n want %s\n got  %s", want, got)
+			}
+			after := s.Metrics()
+			delta := func(name string) float64 { return after.Get(name) - before.Get(name) }
+			perGen := len(experiments.PlanShards(1, len(slices), shardSlices))
+			if got := delta("serve.fabric.shard_cache_hits"); got != float64(6*perGen) {
+				t.Fatalf("shard-cache hits = %v, want the %d shards of M1..M6", got, 6*perGen)
+			}
+			if got := delta("serve.slice_wall_us.count"); got != float64(len(slices)) {
+				t.Fatalf("simulated %v slices, want only the %d of the M7 column", got, len(slices))
+			}
+			if got := delta("serve.fabric.local_runs"); got != 1 {
+				t.Fatalf("local runs = %v, want one batch", got)
+			}
+			if n := s.warm.Stats().SuiteMisses; trace && n != 0 {
+				t.Fatalf("trace jobs generated %d synthetic suites they never sweep", n)
+			}
+		})
+	}
 }

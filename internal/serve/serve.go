@@ -79,9 +79,10 @@ type Config struct {
 	// CacheEntries sizes the digest-keyed result cache: 0 means the
 	// default (64), negative disables caching.
 	CacheEntries int
-	// CheckpointDir, when set, checkpoints every population job to
-	// <dir>/<digest>.ckpt and resumes from it — a drained or crashed
-	// sweep picks up where it stopped when the job is resubmitted.
+	// CheckpointDir, when set, checkpoints the cells every population
+	// job computes in-process (its local batch) to <dir>/<digest>.ckpt
+	// and resumes from it — a drained or crashed sweep picks up where it
+	// stopped when the job is resubmitted.
 	CheckpointDir string
 	// TraceDir, when set, opens a content-addressed trace population
 	// store there and mounts the /v1/traces upload/serve endpoints;
@@ -508,31 +509,23 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
-// runPopulation executes a full sweep and returns its versioned
-// SummaryDoc. With live fabric workers the sweep is sharded across
-// them (bit-identical to the local path by construction); otherwise it
-// runs in-process through experiments.Run on the shared simulator
-// pool.
+// runPopulation executes a full sweep through the fabric coordinator
+// and returns its versioned SummaryDoc. Shards of generations an
+// earlier sweep computed come from the digest-keyed shard cache; the
+// rest go to live fabric workers or, with none live, to one local batch
+// on this server's simulator pool, warm cache and checkpoint. Every
+// path merges bit-identically to a single-process experiments.Run.
 func (s *Server) runPopulation(job *Job) (json.RawMessage, error) {
-	if s.fabric.LiveWorkers() > 0 {
-		return s.runPopulationFabric(job)
+	var ckpt []experiments.Option
+	if s.cfg.CheckpointDir != "" {
+		path := filepath.Join(s.cfg.CheckpointDir, job.digest+".ckpt")
+		ckpt = append(ckpt, experiments.WithCheckpoint(path), experiments.WithResume())
 	}
-	return s.runPopulationLocal(job)
-}
-
-// runPopulationFabric routes the sweep through the fabric coordinator:
-// shards come from the digest-keyed cache or the worker fleet, with
-// the local shard runner as the liveness fallback if every worker
-// disappears mid-sweep.
-func (s *Server) runPopulationFabric(job *Job) (json.RawMessage, error) {
 	req := fabric.SubmitReq{
-		Spec:   job.spec,
-		Gens:   job.gens,
-		Slices: s.warm.Suite(job.spec),
-		OnProgress: func(done, total int) {
-			job.setProgress(done, total)
-		},
-		Local: s.ShardRunner(),
+		Spec:       job.spec,
+		Gens:       job.gens,
+		OnProgress: job.setProgress,
+		Local:      s.shardRunner(ckpt...),
 	}
 	if job.req.Trace != "" {
 		pop, err := s.population(job.req.Trace)
@@ -540,6 +533,9 @@ func (s *Server) runPopulationFabric(job *Job) (json.RawMessage, error) {
 			return nil, err
 		}
 		req.Trace, req.Slices = pop.Meta.ID, pop.Slices
+	} else {
+		// The warm-cached suite: the local batch sweeps these same slices.
+		req.Slices = s.warm.Suite(job.spec)
 	}
 	p, err := s.fabric.Submit(job.ctx, req)
 	if err != nil {
@@ -549,14 +545,23 @@ func (s *Server) runPopulationFabric(job *Job) (json.RawMessage, error) {
 }
 
 // ShardRunner returns the fabric work function backed by this server's
-// simulator pool, warm cache, and telemetry — used by the local
-// fallback here, and by cmd/exyserve's worker mode to compute grants
-// from a remote coordinator.
-func (s *Server) ShardRunner() fabric.RunFunc {
-	return func(ctx context.Context, job fabric.ShardJob) (*experiments.ShardDoc, error) {
+// simulator pool, warm cache, and telemetry — what cmd/exyserve's
+// worker mode computes grants from a remote coordinator with.
+func (s *Server) ShardRunner() fabric.RunFunc { return s.shardRunner() }
+
+// shardRunner is ShardRunner with extra options for every batch: a
+// population job's local runner adds its checkpoint.
+func (s *Server) shardRunner(extra ...experiments.Option) fabric.RunFunc {
+	return func(ctx context.Context, job fabric.ShardJob) ([]*experiments.ShardDoc, error) {
 		opts := []experiments.Option{
 			experiments.WithSimPool(s.pool),
+			// One process-lifetime cache: the second sweep over a pair
+			// captures its warm-state snapshot, every later one forks it
+			// instead of re-warming.
 			experiments.WithWarmSnapshots(s.warm),
+			// Per-batch collector, fleet-shared histograms: every sweep's
+			// slice wall times and heartbeat gaps land in the server's
+			// /metrics distributions.
 			experiments.WithTelemetry(&experiments.SweepTelemetry{
 				SliceWall: s.sliceWall,
 				Heartbeat: s.heartbeat,
@@ -577,51 +582,11 @@ func (s *Server) ShardRunner() fabric.RunFunc {
 			}
 			opts = append(opts, experiments.WithPopulation(pop.Meta.ID, pop.Slices))
 		}
-		return experiments.RunShard(ctx, job.Spec, job.Unit, opts...)
-	}
-}
-
-// runPopulationLocal is the single-process sweep path.
-func (s *Server) runPopulationLocal(job *Job) (json.RawMessage, error) {
-	opts := []experiments.Option{
-		experiments.WithSimPool(s.pool),
-		// One process-lifetime cache: the second job on a spec captures
-		// warm-state snapshots, every later job (and every rep of a
-		// sweep) forks from them instead of re-warming.
-		experiments.WithWarmSnapshots(s.warm),
-		experiments.WithProgressFunc(func(done, total int, _ uint64) {
-			job.setProgress(done, total)
-		}),
-		// Per-job collector, fleet-shared histograms: every sweep's slice
-		// wall times and heartbeat gaps land in the server's /metrics
-		// distributions, while the per-slice timing list stays job-local.
-		experiments.WithTelemetry(&experiments.SweepTelemetry{
-			SliceWall: s.sliceWall,
-			Heartbeat: s.heartbeat,
-		}),
-	}
-	if s.cfg.SweepParallelism > 0 {
-		opts = append(opts, experiments.WithWorkers(s.cfg.SweepParallelism))
-	}
-	if len(job.gens) > 0 {
-		opts = append(opts, experiments.WithGenerations(job.gens))
-	}
-	if job.req.Trace != "" {
-		pop, err := s.population(job.req.Trace)
-		if err != nil {
-			return nil, err
+		if job.Progress != nil {
+			opts = append(opts, experiments.WithProgressFunc(func(done, _ int, _ uint64) { job.Progress(done) }))
 		}
-		opts = append(opts, experiments.WithPopulation(pop.Meta.ID, pop.Slices))
+		return experiments.RunShards(ctx, job.Spec, job.Units, append(opts, extra...)...)
 	}
-	if s.cfg.CheckpointDir != "" {
-		path := filepath.Join(s.cfg.CheckpointDir, job.digest+".ckpt")
-		opts = append(opts, experiments.WithCheckpoint(path), experiments.WithResume())
-	}
-	p, err := experiments.Run(job.ctx, job.spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(p.SummaryDoc())
 }
 
 // runSlice executes one guarded (generation, slice) pair on a pooled

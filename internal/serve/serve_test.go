@@ -146,7 +146,8 @@ func TestRequestValidation(t *testing.T) {
 // not by the request count.
 func TestConcurrentSweepsBitIdenticalWithPooling(t *testing.T) {
 	const jobs = 8
-	cfg := Config{Workers: 2, SweepParallelism: 2, CacheEntries: -1}
+	// Result and shard caches off: the second wave must simulate again.
+	cfg := Config{Workers: 2, SweepParallelism: 2, CacheEntries: -1, FabricCacheShards: -1}
 	s := New(cfg)
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
@@ -602,6 +603,24 @@ func TestCheckpointedDrainResumes(t *testing.T) {
 	got.Resumed = 0
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed summary differs from direct run:\n  want %+v\n  got  %+v", want, got)
+	}
+
+	// The resume provenance stays with that job: the same request again
+	// is answered from the shard cache, with no resumed cells.
+	_, v3 := postJob(t, ts2, specRequest(serveSpec))
+	again := waitJob(t, ts2, v3.ID)
+	if again.Status != StatusDone {
+		t.Fatalf("shard-cache resubmit: %s (%s)", again.Status, again.Error)
+	}
+	var doc3 experiments.SummaryDoc
+	if err := json.Unmarshal(again.Result, &doc3); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(doc3, want) {
+		t.Fatalf("shard-cache resubmit differs from direct run:\n  want %+v\n  got  %+v", want, doc3)
+	}
+	if s2.Fabric().Stats().CacheHits == 0 {
+		t.Fatal("resubmit was not answered from the shard cache")
 	}
 }
 

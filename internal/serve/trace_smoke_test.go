@@ -52,12 +52,15 @@ func uploadFixture(t *testing.T, ts *httptest.Server) traceUploadDoc {
 }
 
 func TestTracePipelineEndToEnd(t *testing.T) {
-	// Coordinator A holds the trace store; job cache off so the fabric
-	// re-run below actually computes.
+	// Coordinator A holds the trace store. Its job and shard caches are
+	// off: the worker-less reference sweep below goes through the
+	// coordinator too, and with either cache on the fabric re-run would
+	// leave its workers nothing to compute.
 	a := New(Config{
 		Workers:           2,
 		SweepParallelism:  2,
 		CacheEntries:      -1,
+		FabricCacheShards: -1,
 		TraceDir:          t.TempDir(),
 		FabricShardSlices: 2,
 	})
@@ -165,10 +168,14 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	granted := a.Fabric().Stats().LeasesGranted
 	_, v2 := postJob(t, ts, req)
 	final2 := waitJob(t, ts, v2.ID)
 	if final2.Status != StatusDone {
 		t.Fatalf("fabric trace sweep ended %s: %s", final2.Status, final2.Error)
+	}
+	if st := a.Fabric().Stats(); st.LeasesGranted == granted {
+		t.Fatal("the fabric sweep granted no lease: its workers computed nothing")
 	}
 	var fabDoc experiments.SummaryDoc
 	if err := json.Unmarshal(final2.Result, &fabDoc); err != nil {
