@@ -179,16 +179,21 @@ func (s *seqSel) next(ctx *emitCtx) int {
 // which target-history hashing learns but a capacity-limited VPC walk
 // cannot once the tour exceeds the chain.
 type markovSel struct {
-	primary  []int
-	alts     [][]int
+	primary []int
+	// alts holds every target's alternates back to back: target i's are
+	// alts[altAt[i]:altAt[i+1]].
+	alts     []int
+	altAt    []int32
 	fidelity float64
 	cur      int
 }
 
 func newMarkovSel(r *rng.RNG, n, outDegree int) *markovSel {
 	m := &markovSel{
-		primary:  make([]int, n),
-		alts:     make([][]int, n),
+		primary: make([]int, n),
+		// Sized for the widest out-degree, so no append moves it.
+		alts:     make([]int, 0, n*outDegree),
+		altAt:    make([]int32, n+1),
 		fidelity: 0.9,
 	}
 	// Primary successors form one big cycle (a tour over all targets) so
@@ -197,13 +202,12 @@ func newMarkovSel(r *rng.RNG, n, outDegree int) *markovSel {
 	for i := 0; i < n; i++ {
 		m.primary[perm[i]] = perm[(i+1)%n]
 	}
-	for i := range m.alts {
+	for i := 0; i < n; i++ {
 		deg := 1 + r.Intn(outDegree)
-		s := make([]int, deg)
-		for j := range s {
-			s[j] = r.Intn(n)
+		for j := 0; j < deg; j++ {
+			m.alts = append(m.alts, r.Intn(n))
 		}
-		m.alts[i] = s
+		m.altAt[i+1] = int32(len(m.alts))
 	}
 	return m
 }
@@ -212,7 +216,7 @@ func (m *markovSel) next(ctx *emitCtx) int {
 	if ctx.r.Bool(m.fidelity) {
 		m.cur = m.primary[m.cur]
 	} else {
-		s := m.alts[m.cur]
+		s := m.alts[m.altAt[m.cur]:m.altAt[m.cur+1]]
 		m.cur = s[ctx.r.Intn(len(s))]
 	}
 	return m.cur

@@ -30,6 +30,45 @@ type style struct {
 	serialLoad bool    // loads form an address-dependence chain (pointer chase)
 	mems       []memGen
 	chainReg   uint8 // register carrying the pointer-chase chain
+
+	// sites is every memory behaviour a block instruction names, by
+	// staticInst.mem-1: the shared mems first, then each per-site clone.
+	sites []memGen
+
+	// slab backs every block built in this style. A style belongs to
+	// one slice, whose program is built, interpreted once and dropped
+	// whole, so its blocks need not be separate heap objects.
+	slab blockSlab
+}
+
+// blockSlab carves blockNodes and their instructions from shared
+// chunks; a full chunk is left to the blocks already carved from it.
+// Chunks double from small up to a cap, so a micro kernel's few blocks
+// do not pin a web-sized chunk.
+type blockSlab struct {
+	nodes []blockNode
+	insts []staticInst
+}
+
+const (
+	slabNodes = 128
+	slabInsts = 512
+)
+
+// block returns a fresh blockNode of n zeroed instructions.
+func (s *blockSlab) block(n int) *blockNode {
+	if len(s.nodes) == cap(s.nodes) {
+		s.nodes = make([]blockNode, 0, min(2*cap(s.nodes)+8, slabNodes))
+	}
+	s.nodes = s.nodes[:len(s.nodes)+1]
+	b := &s.nodes[len(s.nodes)-1]
+	if cap(s.insts)-len(s.insts) < n {
+		s.insts = make([]staticInst, 0, max(n, min(2*cap(s.insts)+32, slabInsts)))
+	}
+	at := len(s.insts)
+	s.insts = s.insts[:at+n]
+	b.insts = s.insts[at : at+n : at+n]
+	return b
 }
 
 // blockOf builds n straight-line instructions in the given style.
@@ -37,7 +76,7 @@ func blockOf(r *rng.RNG, n int, st *style) *blockNode {
 	if st.ilp < 1 {
 		st.ilp = 1
 	}
-	b := &blockNode{insts: make([]staticInst, 0, n)}
+	b := st.slab.block(n)
 	// Dependence chains are block-local: the first instruction of each
 	// chain initializes its register rather than reading the previous
 	// block's value, as in real code where most values are freshly
@@ -54,7 +93,8 @@ func blockOf(r *rng.RNG, n int, st *style) *blockNode {
 				src1 = isa.RegNone
 			}
 		}
-		si := staticInst{dst: chain, s1: src1, s2: uint8(9 + r.Intn(16))}
+		si := &b.insts[i] // filled in place; slab instructions start zeroed
+		si.dst, si.s1, si.s2 = chain, src1, uint8(9+r.Intn(16))
 		u := r.Float64()
 		switch {
 		case u < st.memFrac && len(st.mems) > 0:
@@ -64,10 +104,15 @@ func blockOf(r *rng.RNG, n int, st *style) *blockNode {
 				si.class = isa.Load
 			}
 			si.size = 8
-			si.mem = st.mems[r.Intn(len(st.mems))]
-			if ps, ok := si.mem.(perSite); ok {
-				si.mem = ps.clone(r)
+			if st.sites == nil {
+				st.sites = append([]memGen(nil), st.mems...)
 			}
+			m := r.Intn(len(st.mems))
+			if ps, ok := st.mems[m].(perSite); ok {
+				st.sites = append(st.sites, ps.clone(r))
+				m = len(st.sites) - 1
+			}
+			si.mem = int32(m + 1)
 			// Loads read an induction register for their address but
 			// deposit into a value register outside the loop-carried
 			// chain, as real array code does — otherwise every cache
@@ -81,7 +126,7 @@ func blockOf(r *rng.RNG, n int, st *style) *blockNode {
 			}
 			if st.serialLoad && si.class == isa.Load {
 				si.serialized = true
-				si.lastLoadedReg = &st.chainReg
+				si.chainReg = st.chainReg
 			}
 		case u < st.memFrac+st.fpFrac:
 			switch r.Intn(3) {
@@ -105,7 +150,6 @@ func blockOf(r *rng.RNG, n int, st *style) *blockNode {
 				si.class = isa.ALUSimple
 			}
 		}
-		b.insts = append(b.insts, si)
 	}
 	return b
 }
@@ -305,7 +349,8 @@ func (sh *funcShape) blockN(r *rng.RNG) int {
 // pool of already-built functions callable from this one; extraFns
 // accumulates callee functions synthesized for indirect-call arms.
 func (sh *funcShape) genBody(r *rng.RNG, depth int, callees []*function, extraFns *[]*function) node {
-	seq := &seqNode{}
+	// At most a block and one compound node per segment, plus the tail.
+	seq := &seqNode{kids: make([]node, 0, 2*sh.segments+1)}
 	for s := 0; s < sh.segments; s++ {
 		seq.kids = append(seq.kids, blockOf(r, sh.blockN(r), sh.style))
 		if depth >= sh.maxDepth {
@@ -343,6 +388,11 @@ func (sh *funcShape) genBody(r *rng.RNG, depth int, callees []*function, extraFn
 		case u < sh.loopProb+sh.diamondProb+sh.indProb && sh.indirect != nil:
 			arms, sel := sh.indirect(r)
 			x := &indirectNode{sel: sel, isCall: r.Bool(0.5)}
+			if x.isCall {
+				x.fnArms = make([]*function, 0, arms)
+			} else {
+				x.arms = make([]node, 0, arms)
+			}
 			for a := 0; a < arms; a++ {
 				body := blockOf(r, sh.blockN(r), sh.style)
 				if x.isCall {
@@ -390,8 +440,9 @@ func loopBank(r *rng.RNG, nloops, avgLo, avgHi int, st *style) *function {
 }
 
 // genProgram builds numFuncs functions of the given shape plus the driver
-// that cycles through numEntries of them plus any bank kernels.
-// Indirect-call arm functions are laid out alongside the named functions.
+// that cycles through numEntries of them plus any bank kernels, which
+// must be built in sh's style. Indirect-call arm functions are laid out
+// alongside the named functions.
 func genProgram(r *rng.RNG, numFuncs, numEntries int, sh *funcShape, banks ...*function) *program {
 	funcs := make([]*function, 0, numFuncs)
 	var extra []*function
@@ -405,7 +456,7 @@ func genProgram(r *rng.RNG, numFuncs, numEntries int, sh *funcShape, banks ...*f
 	entries := append([]*function{}, funcs[len(funcs)-numEntries:]...)
 	entries = append(entries, banks...)
 	all := append(funcs, banks...)
-	return newProgram(codeBase, append(all, extra...), entries)
+	return newProgram(codeBase, append(all, extra...), entries, sh.style.sites)
 }
 
 // Family is a named generator of related workload slices.

@@ -35,6 +35,7 @@ type emitCtx struct {
 	out    []isa.Inst
 	budget int
 	r      *rng.RNG
+	sites  []memGen // the program's memory behaviours, by staticInst.mem-1
 
 	// hist is a ring of recent conditional-branch outcomes so that
 	// history-correlated branch behaviours (the CBP-like families) can
@@ -91,15 +92,20 @@ func (ctx *emitCtx) push(in isa.Inst) {
 }
 
 // staticInst is one laid-out non-control instruction. Memory operands are
-// regenerated at every dynamic execution by the mem behaviour.
+// regenerated at every dynamic execution by the mem behaviour. It holds
+// no pointers (the behaviour is an index into the program's sites), so
+// a web program's ~100K static instructions are 24-byte slab entries
+// the garbage collector never scans.
 type staticInst struct {
-	pc            uint64
-	class         isa.Class
-	dst, s1, s2   uint8
-	size          uint8
-	mem           memGen // nil unless class is Load/Store
-	serialized    bool   // if true, source depends on prior load (pointer chase)
-	lastLoadedReg *uint8 // shared chain register for serialized loads
+	pc          uint64
+	mem         int32 // 1 + index into the program's sites; 0 unless class is Load/Store
+	class       isa.Class
+	dst, s1, s2 uint8
+	size        uint8
+	// serialized loads form a pointer chase through chainReg: the load
+	// reads its address from it and deposits its result in it.
+	serialized bool
+	chainReg   uint8
 }
 
 // blockNode is straight-line code.
@@ -128,16 +134,14 @@ func (b *blockNode) emit(ctx *emitCtx) {
 			Src1:  si.s1,
 			Src2:  si.s2,
 		}
-		if si.mem != nil {
-			in.Addr = si.mem.next(ctx)
+		if si.mem != 0 {
+			in.Addr = ctx.sites[si.mem-1].next(ctx)
 			in.Size = si.size
-			if si.class == isa.Load && si.lastLoadedReg != nil {
+			if si.serialized {
 				// Pointer chase: this load's result feeds the next
 				// load's address register.
-				in.Dst = *si.lastLoadedReg
-			}
-			if si.serialized && si.lastLoadedReg != nil {
-				in.Src1 = *si.lastLoadedReg
+				in.Dst = si.chainReg
+				in.Src1 = si.chainReg
 			}
 		}
 		ctx.push(in)
@@ -418,11 +422,13 @@ type program struct {
 	top     []*callNode
 	topLoop uint64 // pc of the driver's backward branch
 	base    uint64
+	sites   []memGen // memory behaviours the blocks index
 }
 
-// newProgram lays out the functions and a driver loop starting at base.
-func newProgram(base uint64, funcs []*function, entries []*function) *program {
-	p := &program{funcs: funcs, base: base}
+// newProgram lays out the functions and a driver loop starting at base;
+// sites are the memory behaviours their blocks were built with.
+func newProgram(base uint64, funcs []*function, entries []*function, sites []memGen) *program {
+	p := &program{funcs: funcs, base: base, sites: sites}
 	pc := base
 	// Driver: call sites for each entry, then an always-taken backward
 	// branch to the first call site.
@@ -446,6 +452,7 @@ func (p *program) generate(budget int, r *rng.RNG) []isa.Inst {
 		out:    make([]isa.Inst, 0, budget+64),
 		budget: budget,
 		r:      r,
+		sites:  p.sites,
 	}
 	for !ctx.full() {
 		for _, c := range p.top {

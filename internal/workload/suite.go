@@ -2,9 +2,11 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"exysim/internal/trace"
 )
@@ -79,43 +81,32 @@ func defaultFamilies() []weightedFamily {
 	}
 }
 
-// Suite materializes the full synthetic population for the spec.
-// Families generate in parallel — each slice derives from (family, index,
-// seed) alone, so the population is identical to the serial construction,
-// in the same order. At standard scale generation is a visible fraction
-// of a population run's wall time; per-family fan-out hides it.
+// Suite materializes the full synthetic population for the spec. Each
+// slice derives from (family, index, seed) alone, so the work is per
+// slice: GOMAXPROCS workers take slices from a shared index and the
+// population is identical to the serial construction, in the same
+// order, with at most GOMAXPROCS programs under construction at once.
 func Suite(spec SuiteSpec) []*trace.Slice {
 	spec = spec.Normalize()
 	warm := int(float64(spec.InstsPerSlice) * spec.WarmupFrac)
 	budget := spec.InstsPerSlice + warm
-	fams := defaultFamilies()
-	offsets := make([]int, len(fams))
-	total := 0
-	for i, wf := range fams {
+	type sliceRef struct {
+		fam Family
+		idx int
+	}
+	var refs []sliceRef
+	for _, wf := range defaultFamilies() {
 		n := int(float64(spec.SlicesPerFamily) * wf.weight)
 		if n < 1 {
 			n = 1
 		}
-		offsets[i] = total
-		total += n
-	}
-	out := make([]*trace.Slice, total)
-	var wg sync.WaitGroup
-	for i, wf := range fams {
-		end := total
-		if i+1 < len(fams) {
-			end = offsets[i+1]
+		for j := 0; j < n; j++ {
+			refs = append(refs, sliceRef{wf.fam, j})
 		}
-		wg.Add(1)
-		go func(fam Family, base, n int) {
-			defer wg.Done()
-			for j := 0; j < n; j++ {
-				out[base+j] = fam.Gen(j, budget, warm, spec.Seed)
-			}
-		}(wf.fam, offsets[i], end-offsets[i])
 	}
-	wg.Wait()
-	return out
+	return generate(len(refs), func(i int) *trace.Slice {
+		return refs[i].fam.Gen(refs[i].idx, budget, warm, spec.Seed)
+	})
 }
 
 // CBPSuite materializes the Fig. 1 branch-stress traces: n slices whose
@@ -123,10 +114,32 @@ func Suite(spec SuiteSpec) []*trace.Slice {
 func CBPSuite(n, instsPerSlice, maxDist int, seed uint64) []*trace.Slice {
 	fam := CBPFamily(maxDist)
 	warm := instsPerSlice / 10
+	return generate(n, func(i int) *trace.Slice {
+		return fam.Gen(i, instsPerSlice+warm, warm, seed)
+	})
+}
+
+// generate builds slices 0..n-1 with gen on GOMAXPROCS workers, each
+// taking the next index from a shared counter, so one slow slice holds
+// up one worker only.
+func generate(n int, gen func(i int) *trace.Slice) []*trace.Slice {
 	out := make([]*trace.Slice, n)
-	for i := range out {
-		out[i] = fam.Gen(i, instsPerSlice+warm, warm, seed)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				out[i] = gen(i)
+			}
+		}()
 	}
+	wg.Wait()
 	return out
 }
 
