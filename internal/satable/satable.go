@@ -7,7 +7,8 @@
 // dominates the simulator's per-instruction cost with hashing and
 // pointer chasing. The table here is a single preallocated flat array
 // with explicit sets×ways geometry, per-set true-LRU replacement, and
-// zero steady-state allocation.
+// zero steady-state allocation. One-set (fully-associative) tables check
+// a way hint before scanning, so a hit usually costs one compare.
 package satable
 
 import "exysim/internal/rng"
@@ -27,6 +28,10 @@ type Table[V any] struct {
 
 	tick uint64
 	n    int
+
+	// hint guesses the way of a one-set table's key (disabled for
+	// set-indexed tables, whose scans are a few ways long).
+	hint WayHint
 }
 
 // Evicted describes a victim displaced by Insert. Val is a copy of the
@@ -46,14 +51,56 @@ func New[V any](sets, ways int) *Table[V] {
 		panic("satable: ways must be positive")
 	}
 	cap := sets * ways
-	return &Table[V]{
+	t := &Table[V]{
 		sets: sets, ways: ways, mask: uint64(sets - 1),
 		keys:  make([]uint64, cap),
 		valid: make([]bool, cap),
 		lru:   make([]uint64, cap),
 		vals:  make([]V, cap),
 	}
+	if sets == 1 {
+		t.hint = NewWayHint(ways)
+	}
+	return t
 }
+
+// WayHint remembers, per key hash, the way of a one-set table that last
+// held the key: a small table written on every hit and fill. It is only
+// a guess — a colliding key may have overwritten it, or the way may
+// have been refilled since — so a caller uses a hinted way only after
+// checking that the way holds the key, and otherwise runs its scan.
+// The table's own key array stays the only source of truth, and hits,
+// misses, recency and victims are exactly the plain scan's.
+type WayHint struct {
+	way   []uint8 // nil: no hint
+	shift uint
+}
+
+// NewWayHint sizes a hint for a one-set table of the given ways: eight
+// slots per way, rounded up to a power of two, so live keys seldom
+// share a slot. Tables wider than a uint8 can name get no hint.
+func NewWayHint(ways int) WayHint {
+	if ways > 256 {
+		return WayHint{}
+	}
+	bits := uint(3)
+	for 1<<bits < 8*ways {
+		bits++
+	}
+	return WayHint{way: make([]uint8, 1<<bits), shift: 64 - bits}
+}
+
+// Slot returns key's hint slot, which holds a way below the table's
+// width, or nil when there is no hint.
+func (h *WayHint) Slot(key uint64) *uint8 {
+	if h.way == nil {
+		return nil
+	}
+	return &h.way[key*0x9E3779B97F4A7C15>>h.shift]
+}
+
+// Reset forgets every guess.
+func (h *WayHint) Reset() { clear(h.way) }
 
 // Geometry derives a sets×ways shape for a structure specified only by
 // total capacity: sets is the largest power of two with sets*targetWays
@@ -77,33 +124,63 @@ func Geometry(capacity, targetWays int) (sets, ways int) {
 }
 
 func (t *Table[V]) setOf(key uint64) int {
+	if t.mask == 0 {
+		return 0
+	}
 	return int(rng.Mix64(key)&t.mask) * t.ways
 }
 
-// Lookup returns the value for key and refreshes its recency, or nil.
-func (t *Table[V]) Lookup(key uint64) *V {
+// hinted checks key's way hint, which only one-set tables keep (so the
+// hinted way is the slot): it returns key's slot if that way holds it
+// (else -1), and the hint slot to update after a scan (nil for a table
+// without a hint). Keys are unique among a set's valid ways, so a
+// verified guess is the slot the scan would find.
+func (t *Table[V]) hinted(key uint64) (int, *uint8) {
+	hs := t.hint.Slot(key)
+	if hs != nil {
+		if i := int(*hs); t.keys[i] == key && t.valid[i] {
+			return i, hs
+		}
+	}
+	return -1, hs
+}
+
+// find returns the slot holding key, or -1.
+func (t *Table[V]) find(key uint64) int {
+	i, hs := t.hinted(key)
+	if i >= 0 {
+		return i
+	}
 	base := t.setOf(key)
 	// Key first: a mismatched way is rejected on the keys array alone,
 	// without touching the valid bytes (keys are only trusted when valid).
 	for w := 0; w < t.ways; w++ {
 		i := base + w
 		if t.keys[i] == key && t.valid[i] {
-			t.tick++
-			t.lru[i] = t.tick
-			return &t.vals[i]
+			if hs != nil {
+				*hs = uint8(w)
+			}
+			return i
 		}
 	}
-	return nil
+	return -1
+}
+
+// Lookup returns the value for key and refreshes its recency, or nil.
+func (t *Table[V]) Lookup(key uint64) *V {
+	i := t.find(key)
+	if i < 0 {
+		return nil
+	}
+	t.tick++
+	t.lru[i] = t.tick
+	return &t.vals[i]
 }
 
 // Peek returns the value for key without touching recency, or nil.
 func (t *Table[V]) Peek(key uint64) *V {
-	base := t.setOf(key)
-	for w := 0; w < t.ways; w++ {
-		i := base + w
-		if t.keys[i] == key && t.valid[i] {
-			return &t.vals[i]
-		}
+	if i := t.find(key); i >= 0 {
+		return &t.vals[i]
 	}
 	return nil
 }
@@ -114,12 +191,21 @@ func (t *Table[V]) Peek(key uint64) *V {
 // the displaced victim — if any — is reported in ev, and the returned
 // slot is zeroed for the caller to fill. Recency is refreshed either way.
 func (t *Table[V]) Insert(key uint64) (slot *V, existed bool, ev Evicted[V]) {
+	i, hs := t.hinted(key)
+	if i >= 0 {
+		t.tick++
+		t.lru[i] = t.tick
+		return &t.vals[i], true, ev
+	}
 	base := t.setOf(key)
 	victim := -1
 	var victimLRU uint64
 	for w := 0; w < t.ways; w++ {
 		i := base + w
 		if t.keys[i] == key && t.valid[i] {
+			if hs != nil {
+				*hs = uint8(w)
+			}
 			t.tick++
 			t.lru[i] = t.tick
 			return &t.vals[i], true, ev
@@ -143,25 +229,24 @@ func (t *Table[V]) Insert(key uint64) (slot *V, existed bool, ev Evicted[V]) {
 	t.vals[victim] = zero
 	t.tick++
 	t.lru[victim] = t.tick
+	if hs != nil {
+		*hs = uint8(victim - base)
+	}
 	return &t.vals[victim], false, ev
 }
 
 // Remove invalidates key's slot, returning a copy of its value.
 func (t *Table[V]) Remove(key uint64) (V, bool) {
-	base := t.setOf(key)
-	for w := 0; w < t.ways; w++ {
-		i := base + w
-		if t.keys[i] == key && t.valid[i] {
-			v := t.vals[i]
-			var zero V
-			t.vals[i] = zero
-			t.valid[i] = false
-			t.n--
-			return v, true
-		}
-	}
 	var zero V
-	return zero, false
+	i := t.find(key)
+	if i < 0 {
+		return zero, false
+	}
+	v := t.vals[i]
+	t.vals[i] = zero
+	t.valid[i] = false
+	t.n--
+	return v, true
 }
 
 // At exposes slot i (0 <= i < Cap) for round-robin/clock scans.
@@ -202,6 +287,7 @@ func (t *Table[V]) Reset() {
 	clear(t.valid)
 	clear(t.lru)
 	clear(t.vals)
+	t.hint.Reset()
 	t.tick = 0
 	t.n = 0
 }

@@ -6,7 +6,10 @@
 // triples, where a sector groups consecutive pages under one tag.
 package tlb
 
-import "exysim/internal/obs"
+import (
+	"exysim/internal/obs"
+	"exysim/internal/satable"
+)
 
 // PageBits is the translation granule (4KB pages).
 const PageBits = 12
@@ -41,7 +44,10 @@ type TLB struct {
 	tagw []uint64
 	// lrus holds per-way recency ticks parallel to tags, so victim
 	// selection scans one word per way instead of a whole entry.
-	lrus   []uint64
+	lrus []uint64
+	// hint guesses the way holding a tag in a fully-associative level
+	// (one set, tens of ways); set-associative levels scan without one.
+	hint   satable.WayHint
 	tick   uint64
 	hits   uint64
 	misses uint64
@@ -73,12 +79,16 @@ func New(cfg Config) *TLB {
 	for p*2 <= sets {
 		p *= 2
 	}
-	return &TLB{
+	t := &TLB{
 		cfg: cfg, sets: p, ways: cfg.Ways, secLog: secLog,
 		tags: make([]entry, p*cfg.Ways),
 		tagw: make([]uint64, p*cfg.Ways),
 		lrus: make([]uint64, p*cfg.Ways),
 	}
+	if p == 1 {
+		t.hint = satable.NewWayHint(cfg.Ways)
+	}
+	return t
 }
 
 // Config returns the level's configuration.
@@ -104,6 +114,7 @@ func (t *TLB) Reset() {
 	clear(t.tags)
 	clear(t.tagw)
 	clear(t.lrus)
+	t.hint.Reset()
 	t.tick = 0
 	t.hits = 0
 	t.misses = 0
@@ -115,19 +126,31 @@ func (t *TLB) index(addr uint64) (set int, tag uint64, sub uint) {
 	return int(granule) & (t.sets - 1), granule, uint(page & ((1 << t.secLog) - 1))
 }
 
+// find returns the way of the set at base whose packed tag word is
+// want, or -1, plus the tag's hint slot (nil without a hint). A hinted
+// way is taken only after its tag word is checked; tags are unique
+// within a set, so it is the way the scan would find.
+func (t *TLB) find(base int, want uint64) (int, *uint8) {
+	hs := t.hint.Slot(want)
+	if hs != nil && t.tagw[base+int(*hs)] == want {
+		return int(*hs), hs
+	}
+	for w, tw := range t.tagw[base : base+t.ways] {
+		if tw == want {
+			if hs != nil {
+				*hs = uint8(w)
+			}
+			return w, hs
+		}
+	}
+	return -1, hs
+}
+
 // Lookup probes the level.
 func (t *TLB) Lookup(addr uint64) bool {
 	set, tag, sub := t.index(addr)
 	base := set * t.ways
-	want := tag<<1 | 1
-	for w, tw := range t.tagw[base : base+t.ways] {
-		if tw != want {
-			continue
-		}
-		// Tags are unique within a set, so this is the only candidate.
-		if t.tags[base+w].present&(1<<sub) == 0 {
-			break
-		}
+	if w, _ := t.find(base, tag<<1|1); w >= 0 && t.tags[base+w].present&(1<<sub) != 0 {
 		t.tick++
 		t.lrus[base+w] = t.tick
 		t.hits++
@@ -143,12 +166,11 @@ func (t *TLB) Insert(addr uint64) {
 	base := set * t.ways
 	t.tick++
 	want := tag<<1 | 1
-	for w, tw := range t.tagw[base : base+t.ways] {
-		if tw == want {
-			t.tags[base+w].present |= 1 << sub
-			t.lrus[base+w] = t.tick
-			return
-		}
+	w, hs := t.find(base, want)
+	if w >= 0 {
+		t.tags[base+w].present |= 1 << sub
+		t.lrus[base+w] = t.tick
+		return
 	}
 	// Victim way: invalid first, else LRU — both over the packed arrays.
 	vw := 0
@@ -165,6 +187,9 @@ func (t *TLB) Insert(addr uint64) {
 	t.tags[base+vw] = entry{tag: tag, present: 1 << sub, valid: true}
 	t.tagw[base+vw] = want
 	t.lrus[base+vw] = t.tick
+	if hs != nil {
+		*hs = uint8(vw)
+	}
 }
 
 // Hierarchy is a core's translation stack: an L1 (I or D side), the
