@@ -346,6 +346,9 @@ func (j *Job) setProgress(done, total int) {
 
 // finish records the terminal state and closes every subscriber
 // channel; streamers then emit the terminal frame from the job state.
+// Progress stays what the run last reported: a finished sweep has
+// reported every cell, and the terminal frame shows it, not an
+// assumption.
 func (j *Job) finish(status JobStatus, result json.RawMessage, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -353,9 +356,6 @@ func (j *Job) finish(status JobStatus, result json.RawMessage, errMsg string) {
 		return
 	}
 	j.status, j.result, j.errMsg = status, result, errMsg
-	if status == StatusDone && j.total > 0 {
-		j.done = j.total
-	}
 	for id, ch := range j.subs {
 		close(ch)
 		delete(j.subs, id)
