@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: tier1 fmt-check vet build perfbench-build test race golden obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench bench-smoke bench-compare bench-go
+.PHONY: tier1 fmt-check vet build perfbench-build test race golden obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke workload-smoke bench bench-smoke bench-compare bench-go
 
 # tier1 is the gate every change must pass: formatting, vet, a full
 # build, a build of the benchmark module, the test suite under the race
 # detector (including the golden behaviour lock), the observability
 # smoke, the fault-injection smoke, the serving-layer smoke, and a
 # benchmark smoke run proving the throughput harness still executes
-# every generation, and the snapshot/fork smoke pinning warm-state
-# bit-identity.
-tier1: fmt-check vet build perfbench-build race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke bench-smoke
+# every generation, the snapshot/fork smoke pinning warm-state
+# bit-identity, and the workload smoke racing suite generation and the
+# hinted table lookups at several widths.
+tier1: fmt-check vet build perfbench-build race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke workload-smoke bench-smoke
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -115,6 +116,16 @@ trace-smoke:
 predictor-smoke:
 	$(GO) test -race -run 'TestPredictor|TestTAGE|TestITTAGE|TestFrontendM7|TestHypothetical|TestM7' \
 		./internal/branch/ ./internal/experiments/ ./internal/serve/
+
+# workload-smoke races the population generator and the hinted lookups
+# at GOMAXPROCS 1, 2 and 8 (race runs them at the host's width only):
+# Suite's per-slice workers must build exactly the slices one ByName
+# call each does, in order, and the program builder must stay under
+# its allocation bound; the way-hinted TLBs and one-set satables must
+# match a linear-scan reference model on random operation sequences.
+workload-smoke:
+	$(GO) test -race -cpu 1,2,8 -run 'TestSuiteMatchesPerSliceGeneration|TestCBPSuiteMatchesPerSliceGeneration|TestProgramBuilderAllocs|TestHintMatchesScanProperty' \
+		./internal/workload/ ./internal/tlb/ ./internal/satable/
 
 # bench measures per-generation simulator throughput (min-of-5 batches)
 # plus the population-scale RunPopulation sweep, and rewrites the
