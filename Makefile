@@ -1,16 +1,15 @@
 GO ?= go
 
-.PHONY: tier1 fmt-check vet build perfbench-build test race golden obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke workload-smoke bench bench-smoke bench-compare bench-go
+.PHONY: tier1 fmt-check vet build perfbench-build test race golden obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke workload-smoke bench-go
 
 # tier1 is the gate every change must pass: formatting, vet, a full
 # build, a build of the benchmark module, the test suite under the race
 # detector (including the golden behaviour lock), the observability
-# smoke, the fault-injection smoke, the serving-layer smoke, and a
-# benchmark smoke run proving the throughput harness still executes
-# every generation, the snapshot/fork smoke pinning warm-state
-# bit-identity, and the workload smoke racing suite generation and the
-# hinted table lookups at several widths.
-tier1: fmt-check vet build perfbench-build race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke workload-smoke bench-smoke
+# smoke, the fault-injection smoke, the serving-layer smoke, the
+# snapshot/fork smoke pinning warm-state bit-identity, and the workload
+# smoke racing suite generation and the hinted table lookups at several
+# widths.
+tier1: fmt-check vet build perfbench-build race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke workload-smoke
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -126,25 +125,6 @@ predictor-smoke:
 workload-smoke:
 	$(GO) test -race -cpu 1,2,8 -run 'TestSuiteMatchesPerSliceGeneration|TestCBPSuiteMatchesPerSliceGeneration|TestProgramBuilderAllocs|TestHintMatchesScanProperty' \
 		./internal/workload/ ./internal/tlb/ ./internal/satable/
-
-# bench measures per-generation simulator throughput (min-of-5 batches)
-# plus the population-scale RunPopulation sweep, and rewrites the
-# committed baseline.
-bench:
-	$(GO) run ./cmd/exybench run --out=BENCH_throughput.json
-
-# bench-smoke is the tier1 variant: one tiny batch per generation plus a
-# tiny-spec population sweep, no baseline rewrite. It proves the harness
-# (including the worker pools and simulator recycling) runs, not how fast.
-bench-smoke:
-	$(GO) run ./cmd/exybench run --smoke --out=""
-
-# bench-compare re-measures the current build and fails on a >30%
-# throughput regression against the committed baseline — both the
-# per-generation rows and the population entry (the margin absorbs
-# shared-machine noise; real hot-path regressions are larger).
-bench-compare:
-	$(GO) run ./cmd/exybench compare --base=BENCH_throughput.json
 
 # bench-go runs the full Go benchmark suite (figures + throughput).
 bench-go:

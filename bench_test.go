@@ -9,6 +9,7 @@
 //	BenchmarkFig16/TableIV  report mean load latency for M1 and M6
 //	BenchmarkFig17      reports mean IPC for M1 and M6
 //	BenchmarkAblate*    report the speedup% of each §-called-out feature
+//	BenchmarkSimulatorThroughput  reports stepping insts/s per generation
 //
 // The populations use reduced sizes so the full suite stays in benchmark
 // time; `cmd/exysim` regenerates the same artifacts at standard scale.
@@ -182,43 +183,40 @@ func BenchmarkSharing(b *testing.B) {
 	b.ReportMetric(rows[3].MeanIPC, "M3_IPC_loaded")
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed
-// (instructions simulated per wall-clock second on M6, the heaviest
-// configuration). The per-generation sub-benchmarks cover all six
-// configurations; `make bench` turns them into BENCH_throughput.json.
+// BenchmarkSimulatorThroughput measures stepping speed: instructions
+// simulated per wall-clock second on every generation plus a TAGE-SC-L
+// M7. Each sub-benchmark builds its simulator and the pre-decoded
+// specint/0 stream before the timer starts and times only the replay
+// loop of TestResetAndRerunDoesNotAllocate, with Reset outside the
+// timer, so it reports stepping at 0 allocs/op, not construction.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	g, _ := core.GenByName("M6")
+	gens, err := experiments.HypotheticalGens("M6", "M7", branch.PredictorSpec{Kind: branch.KindTAGESCL})
+	if err != nil {
+		b.Fatal(err)
+	}
 	sl, err := workload.ByName("specint/0", benchSpec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		r := core.RunSlice(g, sl)
-		insts += r.Insts
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
-}
-
-// BenchmarkSimulatorThroughputGens runs the same throughput measurement
-// for every generation, M1 through M6.
-func BenchmarkSimulatorThroughputGens(b *testing.B) {
-	for _, g := range core.Generations() {
+	insts, meta := sl.Insts, sl.PreDecode().Meta
+	for _, g := range gens {
 		b.Run(g.Name, func(b *testing.B) {
-			sl, err := workload.ByName("specint/0", benchSpec)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sim := core.NewSimulator(g)
+			// The first slice grows append-managed buffers to their
+			// steady capacity.
+			sim.Run(sl)
+			c := sim.Core()
 			b.ReportAllocs()
 			b.ResetTimer()
-			var insts uint64
 			for i := 0; i < b.N; i++ {
-				r := core.RunSlice(g, sl)
-				insts += r.Insts
+				b.StopTimer()
+				sim.Reset()
+				b.StartTimer()
+				for j := range insts {
+					c.StepDecoded(&insts[j], meta[j])
+				}
 			}
-			b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+			b.ReportMetric(float64(b.N*len(insts))/b.Elapsed().Seconds(), "insts/s")
 		})
 	}
 }

@@ -24,7 +24,7 @@
 // Quickstart (single process):
 //
 //	exyserve --addr=localhost:8080 &
-//	curl -s localhost:8080/v1/jobs -d '{"preset":"tiny"}'          # submit
+//	curl -s localhost:8080/v1/jobs -d '{"spec":{"preset":"tiny"}}' # submit
 //	curl -s localhost:8080/v1/jobs/j000001                         # poll
 //	curl -sN localhost:8080/v1/jobs/j000001/stream                 # JSONL progress
 //	curl -s localhost:8080/metrics                                 # Prometheus text
@@ -35,7 +35,7 @@
 //	exyserve --addr=localhost:8080 &
 //	exyserve --addr=localhost:8081 --worker --join=http://localhost:8080 &
 //	exyserve --addr=localhost:8082 --worker --join=http://localhost:8080 &
-//	curl -s localhost:8080/v1/jobs -d '{"preset":"quick"}'         # sharded sweep
+//	curl -s localhost:8080/v1/jobs -d '{"spec":{"preset":"quick"}}' # sharded sweep
 //	curl -s localhost:8080/metrics | grep fabric                   # lease/steal/cache
 package main
 

@@ -40,7 +40,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -266,12 +265,6 @@ func cmdFig1(args []string) {
 	fmt.Println(experiments.RenderFig1(pts))
 }
 
-// warmCache returns the process-wide snapshot cache behind
-// --warm-snapshots: a command that runs several sweeps (report, curves
-// over multiple figures) pays each (generation, slice) warmup twice —
-// the second captures the pair's image — and forks every later sweep.
-var warmCache = sync.OnceValue(experiments.NewWarmCache)
-
 // mustPopRun is the no-flags spelling of experiments.Run for commands
 // without the shared population flag surface.
 func mustPopRun(spec workload.SuiteSpec) *experiments.PopulationRun {
@@ -295,7 +288,6 @@ type popFlags struct {
 	sliceDeadline *time.Duration
 	retries       *int
 	spanOut       *string
-	warm          *bool
 	m7            *string
 	m7Base        *string
 }
@@ -310,8 +302,6 @@ func runPopulationFlags(fs *flag.FlagSet) *popFlags {
 		sliceDeadline: fs.Duration("slice-deadline", 0, "per-slice wall-clock budget (0 = none)"),
 		retries:       fs.Int("retries", 0, "retry a failed slice up to N times on a fresh simulator"),
 		spanOut:       fs.String("span-out", "", "write a wall-clock span trace (Perfetto JSON) of the sweep to FILE"),
-		warm: fs.Bool("warm-snapshots", false,
-			"cache warm-state snapshots so repeated sweeps in this process fork past each slice's warmup (results stay bit-identical)"),
 		m7: fs.String("m7", "",
 			`sweep a hypothetical M7 beside M1..M6: a predictor spec as JSON (e.g. '{"kind":"tage-sc-l"}')`),
 		m7Base: fs.String("m7-base", "M6", "generation the hypothetical M7 derives from"),
@@ -343,9 +333,6 @@ func runPopulation(command string, pf *popFlags, artifacts map[string]string) *e
 		}
 		opts = append(opts, experiments.WithGenerations(gens))
 		genCount = len(gens)
-	}
-	if *pf.warm {
-		opts = append(opts, experiments.WithWarmSnapshots(warmCache()))
 	}
 	if *pf.progress {
 		total := len(workload.Suite(sp)) * genCount

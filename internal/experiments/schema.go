@@ -1,8 +1,8 @@
 // Versioned JSON result documents. These are the wire forms shared by
 // `exysim --format json`, the exyserve daemon's responses, and any
-// external consumer: every document carries a schema_version stamp,
-// decodes legacy (unstamped) documents, and rejects documents from a
-// newer schema instead of silently misreading them.
+// external consumer: every document carries a schema_version stamp, and
+// decoding rejects any document not stamped with the current schema —
+// unstamped or newer — instead of silently misreading it.
 package experiments
 
 import (
@@ -10,10 +10,19 @@ import (
 	"fmt"
 )
 
-// ResultsSchemaVersion is the version stamped into SummaryDoc and
-// CurveDoc. Bump it when a field changes meaning or disappears; adding
-// optional fields does not require a bump.
+// ResultsSchemaVersion is the version stamped into SummaryDoc, CurveDoc,
+// ShardDoc and served slice documents. Bump it when a field changes
+// meaning or disappears; adding optional fields does not require a bump.
 const ResultsSchemaVersion = 1
+
+// checkSchema rejects a document of the named kind whose stamp is not
+// ResultsSchemaVersion: an unstamped (0) document or a newer one.
+func checkSchema(kind string, v int) error {
+	if v != ResultsSchemaVersion {
+		return fmt.Errorf("experiments: %s schema_version %d, want %d", kind, v, ResultsSchemaVersion)
+	}
+	return nil
+}
 
 // MetricNames returns the canonical wire names accepted by
 // MetricByName, in presentation order.
@@ -98,16 +107,16 @@ func (p *PopulationRun) SummaryDoc() SummaryDoc {
 	return d
 }
 
-// UnmarshalJSON decodes a summary document, accepting legacy documents
-// without a stamp and rejecting ones from a future schema.
+// UnmarshalJSON decodes a summary document stamped with
+// ResultsSchemaVersion.
 func (d *SummaryDoc) UnmarshalJSON(b []byte) error {
 	type alias SummaryDoc // plain struct: no custom decoder, no recursion
 	var a alias
 	if err := json.Unmarshal(b, &a); err != nil {
 		return err
 	}
-	if a.SchemaVersion > ResultsSchemaVersion {
-		return fmt.Errorf("experiments: summary schema_version %d newer than supported %d", a.SchemaVersion, ResultsSchemaVersion)
+	if err := checkSchema("summary", a.SchemaVersion); err != nil {
+		return err
 	}
 	*d = SummaryDoc(a)
 	return nil
@@ -150,16 +159,16 @@ func (p *PopulationRun) CurveDoc(figure, metric string, points int) (CurveDoc, e
 	return d, nil
 }
 
-// UnmarshalJSON decodes a curve document with the same version rules as
-// SummaryDoc.
+// UnmarshalJSON decodes a curve document stamped with
+// ResultsSchemaVersion.
 func (d *CurveDoc) UnmarshalJSON(b []byte) error {
 	type alias CurveDoc
 	var a alias
 	if err := json.Unmarshal(b, &a); err != nil {
 		return err
 	}
-	if a.SchemaVersion > ResultsSchemaVersion {
-		return fmt.Errorf("experiments: curve schema_version %d newer than supported %d", a.SchemaVersion, ResultsSchemaVersion)
+	if err := checkSchema("curve", a.SchemaVersion); err != nil {
+		return err
 	}
 	*d = CurveDoc(a)
 	return nil

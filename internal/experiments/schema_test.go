@@ -77,20 +77,20 @@ func TestCurveDocRoundTrip(t *testing.T) {
 func TestResultDocsRejectNewerSchema(t *testing.T) {
 	var s SummaryDoc
 	err := json.Unmarshal([]byte(`{"schema_version":99}`), &s)
-	if err == nil || !strings.Contains(err.Error(), "newer") {
+	if err == nil || !strings.Contains(err.Error(), "schema_version 99") {
 		t.Fatalf("future summary accepted: %v", err)
 	}
 	var c CurveDoc
 	err = json.Unmarshal([]byte(`{"schema_version":99}`), &c)
-	if err == nil || !strings.Contains(err.Error(), "newer") {
+	if err == nil || !strings.Contains(err.Error(), "schema_version 99") {
 		t.Fatalf("future curve accepted: %v", err)
 	}
-	// Legacy documents (no stamp) still decode.
-	if err := json.Unmarshal([]byte(`{"figure":"fig9","metric":"mpki"}`), &c); err != nil {
-		t.Fatalf("legacy curve rejected: %v", err)
-	}
-	if c.Figure != "fig9" {
-		t.Fatalf("legacy curve misread: %+v", c)
+	// Legacy documents (no stamp) are rejected too.
+	for name, doc := range map[string]any{"summary": &SummaryDoc{}, "curve": &CurveDoc{}, "shard": &ShardDoc{}} {
+		err := json.Unmarshal([]byte(`{"figure":"fig9","metric":"mpki","gen_name":"M1"}`), doc)
+		if err == nil || !strings.Contains(err.Error(), "schema_version 0") {
+			t.Fatalf("unstamped %s accepted: %v", name, err)
+		}
 	}
 }
 

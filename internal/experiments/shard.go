@@ -112,17 +112,16 @@ type ShardDoc struct {
 	Resumed int `json:"-"`
 }
 
-// UnmarshalJSON decodes a shard document with the same version rules as
-// SummaryDoc: legacy unstamped documents decode, future ones are
-// rejected.
+// UnmarshalJSON decodes a shard document stamped with
+// ResultsSchemaVersion.
 func (d *ShardDoc) UnmarshalJSON(b []byte) error {
 	type alias ShardDoc // plain struct: no custom decoder, no recursion
 	var a alias
 	if err := json.Unmarshal(b, &a); err != nil {
 		return err
 	}
-	if a.SchemaVersion > ResultsSchemaVersion {
-		return fmt.Errorf("experiments: shard schema_version %d newer than supported %d", a.SchemaVersion, ResultsSchemaVersion)
+	if err := checkSchema("shard", a.SchemaVersion); err != nil {
+		return err
 	}
 	*d = ShardDoc(a)
 	return nil

@@ -49,7 +49,7 @@ const (
 // recurring pair runs cold one extra time before it starts forking.
 //
 // Pass one WarmCache to experiments.Run via WithWarmSnapshots; a
-// long-lived process (exyserve, exybench reps) reuses it across sweeps.
+// long-lived process (exyserve) reuses it across sweeps.
 // Slices returned by a WarmCache are shared read-only; every replay path
 // only reads them.
 //

@@ -79,10 +79,9 @@ func (c Config) withDefaults() Config {
 // per unit, in order. A worker passes the one unit of its grant; a
 // coordinator's local runner gets every pending shard of a sweep in one
 // call. The serve layer supplies one backed by its simulator pool, warm
-// cache, and trace store; exybench supplies per-worker variants. A
-// non-empty job.Trace names the population whose slices replace the
-// spec's synthetic suite; a RunFunc that cannot resolve it must return
-// an error (the shards are retried).
+// cache, and trace store. A non-empty job.Trace names the population
+// whose slices replace the spec's synthetic suite; a RunFunc that
+// cannot resolve it must return an error (the shards are retried).
 type RunFunc func(ctx context.Context, job ShardJob) ([]*experiments.ShardDoc, error)
 
 // Stats is a point-in-time snapshot of coordinator counters, exported

@@ -129,21 +129,25 @@ const InstBytes = 4
 // Inst is one dynamic instruction in a trace: the architectural event
 // stream a trace-driven simulator consumes. Fields that do not apply to
 // the class are zero (e.g. Addr for ALU ops, Taken for non-branches).
+//
+// The three words come first so the seven one-byte fields share the
+// last one: an Inst is 32 bytes, and traces are the largest allocation
+// of a population sweep.
 type Inst struct {
-	PC     uint64     // virtual address of the instruction
-	Class  Class      // execution class
-	Branch BranchKind // branch kind, BranchNone for non-branches
+	PC uint64 // virtual address of the instruction
 
-	// Branch outcome (dynamic): whether the branch was taken and where
-	// control went. Target is meaningful for taken branches; for
-	// not-taken branches NextPC() gives the successor.
-	Taken  bool
+	// Target is where a taken branch went; for not-taken branches
+	// NextPC() gives the successor.
 	Target uint64
 
-	// Memory operand for Load/Store: virtual effective address and
+	// Addr is the virtual effective address of a Load/Store, Size its
 	// access size in bytes.
 	Addr uint64
-	Size uint8
+
+	Class  Class      // execution class
+	Branch BranchKind // branch kind, BranchNone for non-branches
+	Taken  bool       // dynamic branch outcome
+	Size   uint8
 
 	// Register operands for dependence modelling. RegNone when absent.
 	// FP classes name FP registers, others integer registers; the

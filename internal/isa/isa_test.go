@@ -1,6 +1,18 @@
 package isa
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestInstPacked pins the trace record at 32 bytes: the three words
+// first, then the seven one-byte fields in the last word. A field added
+// or moved between the words grows every materialized trace.
+func TestInstPacked(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 32 {
+		t.Fatalf("isa.Inst is %d bytes, want 32", got)
+	}
+}
 
 func TestNextPC(t *testing.T) {
 	in := Inst{PC: 0x1000, Class: ALUSimple}

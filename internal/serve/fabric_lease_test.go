@@ -173,10 +173,10 @@ func TestRequestBodyCaps(t *testing.T) {
 
 	// Job submits: one byte past maxJobBody is refused; a small body
 	// still reaches validation.
-	if code := serve(request("/v1/jobs", `{"preset":"`+strings.Repeat("a", maxJobBody)+`"}`, false)); code != http.StatusRequestEntityTooLarge {
+	if code := serve(request("/v1/jobs", `{"spec":{"preset":"`+strings.Repeat("a", maxJobBody)+`"}}`, false)); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized job body: %d, want 413", code)
 	}
-	if code := serve(request("/v1/jobs", `{"preset":"nope"}`, false)); code != http.StatusBadRequest {
+	if code := serve(request("/v1/jobs", `{"spec":{"preset":"nope"}}`, false)); code != http.StatusBadRequest {
 		t.Fatalf("small bad job body: %d, want 400", code)
 	}
 	// A small gzip lease body decodes on the real endpoint: an unknown

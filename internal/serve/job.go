@@ -34,16 +34,13 @@ func (s JobStatus) terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
 
-// JobRequestSchemaVersion is the newest request schema this server
-// accepts: version 2 adds the nested spec/m7 forms below. Versions 0
-// (unset) and 1 are the original flat form; both remain accepted
-// forever — the flat fields are version 2's legacy spelling.
+// JobRequestSchemaVersion is the request schema this server accepts:
+// the workload spec nested under "spec" plus the optional "m7" form. An
+// unset schema_version (0) means this version; any other is rejected.
 const JobRequestSchemaVersion = 2
 
-// SpecRequest is the version-2 nested spelling of the workload-spec
-// fields: a preset plus individual overrides. It resolves identically
-// to the flat legacy fields, so the two spellings share one result-
-// cache digest.
+// SpecRequest sizes a job's synthetic population: a preset
+// (tiny|quick|standard, default tiny) plus individual overrides.
 type SpecRequest struct {
 	Preset          string  `json:"preset,omitempty"`
 	SlicesPerFamily int     `json:"slices_per_family,omitempty"`
@@ -68,31 +65,19 @@ type M7Request struct {
 // work: "population" (the default) sweeps every generation over the
 // spec's synthetic population and returns a versioned SummaryDoc;
 // "slice" runs one (generation, slice) pair guarded and returns the
-// detailed Result. The spec is spelled either flat (legacy, schema
-// versions 0/1) or nested under "spec" (version 2); "m7" adds a
-// hypothetical predictor-lab generation to a population sweep.
+// detailed Result. "m7" adds a hypothetical predictor-lab generation to
+// a population sweep.
 type JobRequest struct {
-	// SchemaVersion selects the request schema. 0 means "infer": 2 when
-	// a nested form (spec, m7) is present, else 1. Explicit versions
-	// above JobRequestSchemaVersion are rejected.
+	// SchemaVersion selects the request schema: 0 (unset) or
+	// JobRequestSchemaVersion.
 	SchemaVersion int `json:"schema_version,omitempty"`
 
 	Kind string `json:"kind,omitempty"`
 
-	// Preset names a base spec (tiny|quick|standard, default tiny); the
-	// explicit fields below override it individually. This is the flat
-	// legacy spelling of Spec — set one or the other, not both.
-	Preset          string  `json:"preset,omitempty"`
-	SlicesPerFamily int     `json:"slices_per_family,omitempty"`
-	InstsPerSlice   int     `json:"insts_per_slice,omitempty"`
-	WarmupFrac      float64 `json:"warmup_frac,omitempty"`
-	Seed            uint64  `json:"seed,omitempty"`
-
-	// Spec is the version-2 nested spelling of the flat fields above.
+	// Spec sizes the synthetic population; nil means the tiny preset.
 	Spec *SpecRequest `json:"spec,omitempty"`
 
-	// M7 extends a population sweep with a hypothetical generation
-	// (version 2).
+	// M7 extends a population sweep with a hypothetical generation.
 	M7 *M7Request `json:"m7,omitempty"`
 
 	// Gen and Slice select the pair of a slice job (e.g. "M4", "web/3").
@@ -106,35 +91,14 @@ type JobRequest struct {
 }
 
 // resolve validates the request and materializes the effective
-// workload spec. Nested version-2 forms are folded into the flat
-// fields, so everything downstream (digests, views, logs) sees one
-// canonical shape.
+// workload spec.
 func (r *JobRequest) resolve() (workload.SuiteSpec, error) {
 	switch r.SchemaVersion {
 	case 0:
-		if r.Spec != nil || r.M7 != nil {
-			r.SchemaVersion = JobRequestSchemaVersion
-		} else {
-			r.SchemaVersion = 1
-		}
-	case 1:
-		if r.Spec != nil || r.M7 != nil {
-			return workload.SuiteSpec{}, fmt.Errorf("spec/m7 need schema_version %d", JobRequestSchemaVersion)
-		}
+		r.SchemaVersion = JobRequestSchemaVersion
 	case JobRequestSchemaVersion:
 	default:
-		return workload.SuiteSpec{}, fmt.Errorf("unsupported schema_version %d (this server speaks up to %d)", r.SchemaVersion, JobRequestSchemaVersion)
-	}
-	if r.Spec != nil {
-		if r.Preset != "" || r.SlicesPerFamily != 0 || r.InstsPerSlice != 0 || r.WarmupFrac != 0 || r.Seed != 0 {
-			return workload.SuiteSpec{}, fmt.Errorf("nested spec and flat spec fields are mutually exclusive")
-		}
-		r.Preset = r.Spec.Preset
-		r.SlicesPerFamily = r.Spec.SlicesPerFamily
-		r.InstsPerSlice = r.Spec.InstsPerSlice
-		r.WarmupFrac = r.Spec.WarmupFrac
-		r.Seed = r.Spec.Seed
-		r.Spec = nil
+		return workload.SuiteSpec{}, fmt.Errorf("unsupported schema_version %d (this server speaks %d)", r.SchemaVersion, JobRequestSchemaVersion)
 	}
 	switch r.Kind {
 	case "":
@@ -146,8 +110,12 @@ func (r *JobRequest) resolve() (workload.SuiteSpec, error) {
 	if r.M7 != nil && r.Kind != "population" {
 		return workload.SuiteSpec{}, fmt.Errorf("m7 is only valid for kind \"population\"")
 	}
+	var sr SpecRequest
+	if r.Spec != nil {
+		sr = *r.Spec
+	}
 	var spec workload.SuiteSpec
-	switch r.Preset {
+	switch sr.Preset {
 	case "", "tiny":
 		spec = workload.TinySpec
 	case "quick":
@@ -155,19 +123,19 @@ func (r *JobRequest) resolve() (workload.SuiteSpec, error) {
 	case "standard":
 		spec = workload.StandardSpec
 	default:
-		return workload.SuiteSpec{}, fmt.Errorf("unknown preset %q (tiny|quick|standard)", r.Preset)
+		return workload.SuiteSpec{}, fmt.Errorf("unknown preset %q (tiny|quick|standard)", sr.Preset)
 	}
-	if r.SlicesPerFamily != 0 {
-		spec.SlicesPerFamily = r.SlicesPerFamily
+	if sr.SlicesPerFamily != 0 {
+		spec.SlicesPerFamily = sr.SlicesPerFamily
 	}
-	if r.InstsPerSlice != 0 {
-		spec.InstsPerSlice = r.InstsPerSlice
+	if sr.InstsPerSlice != 0 {
+		spec.InstsPerSlice = sr.InstsPerSlice
 	}
-	if r.WarmupFrac != 0 {
-		spec.WarmupFrac = r.WarmupFrac
+	if sr.WarmupFrac != 0 {
+		spec.WarmupFrac = sr.WarmupFrac
 	}
-	if r.Seed != 0 {
-		spec.Seed = r.Seed
+	if sr.Seed != 0 {
+		spec.Seed = sr.Seed
 	}
 	spec = spec.Normalize()
 	if r.Kind == "slice" {

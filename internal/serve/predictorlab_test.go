@@ -64,38 +64,50 @@ func TestJobRequestSchemaCompat(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Every pre-v2 bare form stays accepted.
-	legacy := []string{
+	// Forms without a spec or a schema_version stay accepted: nil spec
+	// means the tiny preset, an unset version means 2.
+	for _, body := range []string{
 		`{}`,
 		`{"kind":"population"}`,
-		`{"preset":"tiny"}`,
-		`{"kind":"population","preset":"quick","slices_per_family":1,"insts_per_slice":4000,"warmup_frac":0.25,"seed":3673}`,
 		`{"kind":"slice","gen":"M4","slice":"web/0"}`,
-		`{"schema_version":1,"preset":"tiny"}`,
-	}
-	for _, body := range legacy {
+		`{"schema_version":2,"spec":{"preset":"tiny"}}`,
+	} {
 		resp, _, errMsg := postRaw(t, ts, body)
 		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("legacy form %s rejected: %d %s", body, resp.StatusCode, errMsg)
+			t.Fatalf("form %s rejected: %d %s", body, resp.StatusCode, errMsg)
 		}
 	}
 
-	// The nested v2 spelling resolves to the same digest as its flat
-	// twin: one result-cache entry, not two.
-	flatBody := `{"kind":"population","preset":"quick","slices_per_family":2,"insts_per_slice":5000,"warmup_frac":0.25,"seed":229}`
+	// The pre-v2 flat spelling and schema_version 1 are retired.
+	legacy := []string{
+		`{"preset":"tiny"}`,
+		`{"kind":"population","preset":"quick","slices_per_family":1,"insts_per_slice":4000,"warmup_frac":0.25,"seed":3673}`,
+		`{"schema_version":1,"preset":"tiny"}`,
+		`{"schema_version":1}`,
+		`{"spec":{"preset":"tiny"},"preset":"tiny"}`,
+	}
+	for _, body := range legacy {
+		resp, _, _ := postRaw(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("legacy form %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+
+	// Digests hash the resolved spec and key the result cache and the
+	// <digest>.ckpt files, so they must not move: these literals predate
+	// the flat spelling's retirement.
 	nestedBody := `{"schema_version":2,"kind":"population","spec":{"preset":"quick","slices_per_family":2,"insts_per_slice":5000,"warmup_frac":0.25,"seed":229}}`
-	_, flat, _ := postRaw(t, ts, flatBody)
 	_, nested, _ := postRaw(t, ts, nestedBody)
-	if flat.Digest == "" || flat.Digest != nested.Digest {
-		t.Fatalf("flat and nested spellings digest differently: %q vs %q", flat.Digest, nested.Digest)
+	if nested.Digest != "0c18157c7b4a1b74" {
+		t.Fatalf("nested request digest %q, want 0c18157c7b4a1b74", nested.Digest)
 	}
 
 	// An M7 request is a different computation: different digest.
-	m7Body := `{"kind":"population","preset":"quick","slices_per_family":2,"insts_per_slice":5000,"warmup_frac":0.25,"seed":229,` +
+	m7Body := `{"kind":"population","spec":{"preset":"quick","slices_per_family":2,"insts_per_slice":5000,"warmup_frac":0.25,"seed":229},` +
 		`"m7":{"predictor":{"kind":"tage-sc-l"}}}`
 	_, m7v, _ := postRaw(t, ts, m7Body)
-	if m7v.Digest == "" || m7v.Digest == flat.Digest {
-		t.Fatalf("M7 digest %q must differ from the plain sweep's %q", m7v.Digest, flat.Digest)
+	if m7v.Digest != "0ff3e00067a2470b" {
+		t.Fatalf("M7 request digest %q, want 0ff3e00067a2470b", m7v.Digest)
 	}
 	// ...and so is the same M7 with different geometry.
 	m7Body2 := strings.Replace(m7Body, `{"kind":"tage-sc-l"}`, `{"kind":"tage-sc-l","indirect":`+mustJSON(t, branch.M7ITTAGEConfig())+`}`, 1)
@@ -109,7 +121,7 @@ func TestJobRequestSchemaCompat(t *testing.T) {
 		{`{"schema_version":3}`, "unsupported schema_version"},
 		{`{"schema_version":1,"spec":{"preset":"tiny"}}`, "schema_version"},
 		{`{"schema_version":1,"m7":{"predictor":{}}}`, "schema_version"},
-		{`{"spec":{"preset":"tiny"},"preset":"tiny"}`, "mutually exclusive"},
+		{`{"preset":"tiny"}`, "unknown field"},
 		{`{"kind":"slice","gen":"M4","slice":"web/0","m7":{"predictor":{}}}`, "m7 is only valid"},
 		{`{"m7":{"predictor":{"kind":"perceptron-9000"}}}`, "unknown predictor kind"},
 		{`{"m7":{"base":"M9","predictor":{}}}`, "unknown baseline"},

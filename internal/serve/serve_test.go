@@ -30,11 +30,13 @@ var serveSpec = workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 4_000, War
 
 func specRequest(spec workload.SuiteSpec) JobRequest {
 	return JobRequest{
-		Kind:            "population",
-		SlicesPerFamily: spec.SlicesPerFamily,
-		InstsPerSlice:   spec.InstsPerSlice,
-		WarmupFrac:      spec.WarmupFrac,
-		Seed:            spec.Seed,
+		Kind: "population",
+		Spec: &SpecRequest{
+			SlicesPerFamily: spec.SlicesPerFamily,
+			InstsPerSlice:   spec.InstsPerSlice,
+			WarmupFrac:      spec.WarmupFrac,
+			Seed:            spec.Seed,
+		},
 	}
 }
 
@@ -114,7 +116,7 @@ func TestRequestValidation(t *testing.T) {
 		"bad json":          `{`,
 		"unknown field":     `{"presett":"tiny"}`,
 		"unknown kind":      `{"kind":"fleet"}`,
-		"unknown preset":    `{"preset":"huge"}`,
+		"unknown preset":    `{"spec":{"preset":"huge"}}`,
 		"slice without gen": `{"kind":"slice","slice":"web/0"}`,
 		"unknown gen":       `{"kind":"slice","gen":"M9","slice":"web/0"}`,
 		"gen on population": `{"gen":"M1"}`,
@@ -656,8 +658,9 @@ func TestJobDigestDistinguishesRequests(t *testing.T) {
 	}
 	d1 := jobDigest(base, spec)
 
-	seeded := base
-	seeded.Seed = serveSpec.Seed + 1
+	seededSpec := serveSpec
+	seededSpec.Seed++
+	seeded := specRequest(seededSpec)
 	spec2, err := seeded.resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -677,7 +680,7 @@ func TestJobDigestDistinguishesRequests(t *testing.T) {
 	}
 
 	// Preset spelling vs explicit fields: same resolved spec, same digest.
-	preset := JobRequest{Kind: "population", Preset: "tiny"}
+	preset := JobRequest{Kind: "population", Spec: &SpecRequest{Preset: "tiny"}}
 	pspec, err := preset.resolve()
 	if err != nil {
 		t.Fatal(err)

@@ -24,8 +24,8 @@ import (
 //	name    varint-len + bytes
 //	suite   varint-len + bytes
 //	warmup  uvarint
-//	weight  uvarint float64 bits (version >= 2)
-//	cluster varint              (version >= 2)
+//	weight  uvarint float64 bits
+//	cluster varint
 //	count   uvarint
 //	count * record:
 //	  head   u8: class(4) | branchKind(3 of 4 bits) ...
@@ -40,8 +40,8 @@ import (
 
 const (
 	magic = 0x45585954 // "EXYT"
-	// version 2 added the SimPoint weight/cluster fields; version-1
-	// streams still decode (weight 0, cluster 0).
+	// version 2 added the SimPoint weight/cluster fields. Read accepts
+	// this version only.
 	version = 2
 )
 
@@ -195,8 +195,8 @@ func Read(r io.Reader) (*Slice, error) {
 		return nil, fail("magic", fmt.Errorf("bad magic %#x", m))
 	}
 	ver := binary.LittleEndian.Uint16(hdr[4:])
-	if ver < 1 || ver > version {
-		return nil, fail("version", fmt.Errorf("unsupported version %d", ver))
+	if ver != version {
+		return nil, fail("version", fmt.Errorf("unsupported version %d (want %d)", ver, version))
 	}
 	getStr := func(field string) (string, error) {
 		n, err := binary.ReadUvarint(cr)
@@ -225,21 +225,19 @@ func Read(r io.Reader) (*Slice, error) {
 		return nil, fail("warmup", err)
 	}
 	s.Warmup = int(warm)
-	if ver >= 2 {
-		wbits, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, fail("weight", err)
-		}
-		s.Weight = math.Float64frombits(wbits)
-		if math.IsNaN(s.Weight) || math.IsInf(s.Weight, 0) || s.Weight < 0 {
-			return nil, fail("weight", fmt.Errorf("invalid weight %v", s.Weight))
-		}
-		cl, err := binary.ReadVarint(cr)
-		if err != nil {
-			return nil, fail("cluster", err)
-		}
-		s.Cluster = int(cl)
+	wbits, err := binary.ReadUvarint(cr)
+	if err != nil {
+		return nil, fail("weight", err)
 	}
+	s.Weight = math.Float64frombits(wbits)
+	if math.IsNaN(s.Weight) || math.IsInf(s.Weight, 0) || s.Weight < 0 {
+		return nil, fail("weight", fmt.Errorf("invalid weight %v", s.Weight))
+	}
+	cl, err := binary.ReadVarint(cr)
+	if err != nil {
+		return nil, fail("cluster", err)
+	}
+	s.Cluster = int(cl)
 	count, err := binary.ReadUvarint(cr)
 	if err != nil {
 		return nil, fail("count", err)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -104,6 +105,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected error for empty input")
+	}
+	// A well-formed version-1 stream (no weight/cluster fields): magic,
+	// version 1, empty name and suite, warmup 0, zero records.
+	v1 := []byte{'T', 'Y', 'X', 'E', 1, 0, 0, 0, 0, 0}
+	var fe *FormatError
+	if _, err := Read(bytes.NewReader(v1)); !errors.As(err, &fe) || fe.Field != "version" {
+		t.Fatalf("version-1 stream: err %v, want a version FormatError", err)
 	}
 }
 

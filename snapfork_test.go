@@ -137,9 +137,9 @@ func TestRunWithWarmSnapshotsBitIdentical(t *testing.T) {
 			st.SnapshotEntries, st.SnapshotBytes, pairs)
 	}
 
-	// The exybench warm entry and a steady-state exyserve process run
-	// warm snapshots and a shared simulator pool together; pin that the
-	// combination stays bit-identical to the cold sweep too.
+	// A long-lived exyserve process runs warm snapshots and a shared
+	// simulator pool together; pin that the combination stays
+	// bit-identical to the cold sweep too.
 	pooled, err := experiments.Run(ctx, spec,
 		experiments.WithWarmSnapshots(warm), experiments.WithSimPool(experiments.NewSimPool()))
 	if err != nil {
