@@ -91,16 +91,16 @@ type ITTAGE struct {
 // NewITTAGE builds the predictor; row counts must be powers of two.
 func NewITTAGE(cfg ITTAGEConfig) *ITTAGE {
 	switch {
-	case cfg.Banks < 2:
-		panic("branch: ITTAGE needs at least two tagged banks")
-	case cfg.BankRows <= 0 || cfg.BankRows&(cfg.BankRows-1) != 0:
-		panic("branch: ITTAGE bank rows must be a power of two")
-	case cfg.BaseRows <= 0 || cfg.BaseRows&(cfg.BaseRows-1) != 0:
-		panic("branch: ITTAGE base rows must be a power of two")
+	case cfg.Banks < 2 || cfg.Banks > MaxTables:
+		panic("branch: ITTAGE needs two to MaxTables tagged banks")
+	case cfg.BankRows <= 0 || cfg.BankRows&(cfg.BankRows-1) != 0 || cfg.BankRows > MaxRows:
+		panic("branch: ITTAGE bank rows must be a power of two up to MaxRows")
+	case cfg.BaseRows <= 0 || cfg.BaseRows&(cfg.BaseRows-1) != 0 || cfg.BaseRows > MaxRows:
+		panic("branch: ITTAGE base rows must be a power of two up to MaxRows")
 	case cfg.TagBits < 2 || cfg.TagBits > 16:
 		panic("branch: ITTAGE tag bits out of range")
-	case cfg.HistMin < 1 || cfg.HistMax <= cfg.HistMin:
-		panic("branch: ITTAGE history lengths out of order")
+	case cfg.HistMin < 1 || cfg.HistMax <= cfg.HistMin || cfg.HistMax > MaxHistory:
+		panic("branch: ITTAGE history lengths out of order or past MaxHistory")
 	}
 	indexBits := uint(bits.Len(uint(cfg.BankRows - 1)))
 	p := &ITTAGE{

@@ -42,6 +42,23 @@ type DirectionPredictor interface {
 	Reset()
 }
 
+// Geometry caps. Every table, bank and history length a predictor
+// geometry sizes must fit them; the constructors check them before they
+// allocate, so a job request's M7 geometry answers 400 instead of
+// allocating without limit. Each is at least 8× every shipped, M7 and
+// benchmark geometry.
+const (
+	// MaxTables caps SHP tables and TAGE, ITTAGE and SC banks.
+	MaxTables = 128
+	// MaxRows caps the rows of one table or bank, and the entries of
+	// the TAGE loop predictor.
+	MaxRows = 1 << 14
+	// MaxBaseRows caps the TAGE bimodal table and the SHP bias store.
+	MaxBaseRows = 1 << 16
+	// MaxHistory caps history lengths, in branches.
+	MaxHistory = 1 << 13
+)
+
 // Predictor kinds registered by this package.
 const (
 	KindSHP     = "shp"
@@ -51,7 +68,7 @@ const (
 // PredictorSpec selects and sizes a direction predictor, and optionally
 // an indirect target predictor beside the VPC. It is plain data: JSON-
 // serializable for job requests and fabric grants, digestable for warm-
-// cache and shard-cache keys. Exactly the geometry config matching Kind
+// cache and result-store keys. Exactly the geometry config matching Kind
 // should be set; an unset geometry selects that kind's default. An empty
 // Kind means SHP (the paper's lineage), so a zero spec reproduces M1.
 type PredictorSpec struct {
@@ -106,9 +123,9 @@ func (s PredictorSpec) kind() string {
 func (s PredictorSpec) EngineKind() string { return s.kind() }
 
 // Validate reports whether the spec names a registered kind and carries
-// a constructible geometry. It constructs (and discards) the engine, so
-// geometry panics surface as errors — the serving layer calls this
-// before accepting a job.
+// a constructible geometry within the caps. It constructs (and discards)
+// the engine, so geometry panics surface as errors — the serving layer
+// calls this before accepting a job.
 func (s PredictorSpec) Validate() (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -80,11 +80,14 @@ type SHP struct {
 
 // NewSHP builds the predictor; rows and bias entries must be powers of 2.
 func NewSHP(cfg SHPConfig) *SHP {
-	if cfg.Tables <= 0 || cfg.Rows&(cfg.Rows-1) != 0 || cfg.Rows == 0 {
-		panic("branch: SHP rows must be a power of two")
+	if cfg.Tables <= 0 || cfg.Tables > MaxTables || cfg.Rows <= 0 || cfg.Rows&(cfg.Rows-1) != 0 || cfg.Rows > MaxRows {
+		panic("branch: SHP needs one to MaxTables tables of a power of two rows up to MaxRows")
 	}
-	if cfg.BiasEntries&(cfg.BiasEntries-1) != 0 || cfg.BiasEntries == 0 {
-		panic("branch: SHP bias entries must be a power of two")
+	if cfg.BiasEntries <= 0 || cfg.BiasEntries&(cfg.BiasEntries-1) != 0 || cfg.BiasEntries > MaxBaseRows {
+		panic("branch: SHP bias entries must be a power of two up to MaxBaseRows")
+	}
+	if cfg.GHISTLen > MaxHistory || cfg.PHISTLen > MaxHistory {
+		panic("branch: SHP history past MaxHistory")
 	}
 	bitsFor := func(n int) uint {
 		b := uint(0)

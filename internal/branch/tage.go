@@ -154,25 +154,38 @@ type TAGESCL struct {
 	finalPred bool
 }
 
+// loopWays is the loop predictor's associativity: LoopWays, or 4 when
+// unset.
+func loopWays(cfg TAGEConfig) int {
+	if cfg.LoopWays <= 0 {
+		return 4
+	}
+	return cfg.LoopWays
+}
+
 // NewTAGESCL builds the predictor; row counts must be powers of two.
 func NewTAGESCL(cfg TAGEConfig) *TAGESCL {
 	switch {
-	case cfg.Banks < 2:
-		panic("branch: TAGE needs at least two tagged banks")
-	case cfg.BankRows <= 0 || cfg.BankRows&(cfg.BankRows-1) != 0:
-		panic("branch: TAGE bank rows must be a power of two")
-	case cfg.BimodalRows <= 0 || cfg.BimodalRows&(cfg.BimodalRows-1) != 0:
-		panic("branch: TAGE bimodal rows must be a power of two")
+	case cfg.Banks < 2 || cfg.Banks > MaxTables:
+		panic("branch: TAGE needs two to MaxTables tagged banks")
+	case cfg.BankRows <= 0 || cfg.BankRows&(cfg.BankRows-1) != 0 || cfg.BankRows > MaxRows:
+		panic("branch: TAGE bank rows must be a power of two up to MaxRows")
+	case cfg.BimodalRows <= 0 || cfg.BimodalRows&(cfg.BimodalRows-1) != 0 || cfg.BimodalRows > MaxBaseRows:
+		panic("branch: TAGE bimodal rows must be a power of two up to MaxBaseRows")
 	case cfg.TagBits < 2 || cfg.TagBits > 16:
 		panic("branch: TAGE tag bits out of range")
 	case cfg.CtrBits < 2 || cfg.CtrBits > 7:
 		panic("branch: TAGE ctr bits out of range")
 	case cfg.UsefulBits < 1 || cfg.UsefulBits > 7:
 		panic("branch: TAGE useful bits out of range")
-	case cfg.HistMin < 1 || cfg.HistMax <= cfg.HistMin:
-		panic("branch: TAGE history lengths out of order")
-	case cfg.SCTables > 0 && (cfg.SCRows <= 0 || cfg.SCRows&(cfg.SCRows-1) != 0):
-		panic("branch: TAGE SC rows must be a power of two")
+	case cfg.HistMin < 1 || cfg.HistMax <= cfg.HistMin || cfg.HistMax > MaxHistory:
+		panic("branch: TAGE history lengths out of order or past MaxHistory")
+	case cfg.SCTables > MaxTables || cfg.SCHistMax > MaxHistory:
+		panic("branch: TAGE SC tables or history past the caps")
+	case cfg.SCTables > 0 && (cfg.SCRows <= 0 || cfg.SCRows&(cfg.SCRows-1) != 0 || cfg.SCRows > MaxRows):
+		panic("branch: TAGE SC rows must be a power of two up to MaxRows")
+	case cfg.LoopSets > 0 && (cfg.LoopSets > MaxRows || loopWays(cfg) > MaxRows/cfg.LoopSets):
+		panic("branch: TAGE loop predictor past MaxRows entries")
 	}
 	indexBits := uint(bits.Len(uint(cfg.BankRows - 1)))
 	t := &TAGESCL{
@@ -204,11 +217,7 @@ func NewTAGESCL(cfg TAGEConfig) *TAGESCL {
 		t.tg2Folds = append(t.tg2Folds, newFoldedInterval(uint(cfg.TagBits-1), 1, 0, l))
 	}
 	if cfg.LoopSets > 0 {
-		ways := cfg.LoopWays
-		if ways <= 0 {
-			ways = 4
-		}
-		t.loop = satable.New[tageLoop](cfg.LoopSets, ways)
+		t.loop = satable.New[tageLoop](cfg.LoopSets, loopWays(cfg))
 	}
 	if cfg.SCTables > 0 {
 		t.sc = make([]int8, cfg.SCTables*cfg.SCRows)

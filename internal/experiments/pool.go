@@ -29,7 +29,7 @@ import (
 // out or returned) least recently are dropped, so a stream of one-shot
 // what-if configurations cannot grow a long-lived server's heap without
 // bound. The shipped generations are never the ones dropped: a server
-// whose population jobs take M1–M6 from the fabric's shard cache may go
+// whose population jobs take M1–M6 from the result store may go
 // many one-shot M7 sweeps without touching them, while its slice jobs
 // still want them warm.
 //

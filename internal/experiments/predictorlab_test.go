@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"exysim/internal/branch"
@@ -40,6 +41,51 @@ func TestHypotheticalGensValidates(t *testing.T) {
 	}
 	if _, err := HypotheticalGens("M6", "M7", branch.PredictorSpec{Kind: "nope"}); err == nil {
 		t.Fatal("unknown kind must fail")
+	}
+
+	// Geometries past the caps fail before the constructors allocate:
+	// each would otherwise take from tens of MB to many GB.
+	oversized := map[string]func(*branch.PredictorSpec){
+		"TAGE banks":       func(p *branch.PredictorSpec) { p.TAGE.Banks = 1 << 20 },
+		"TAGE bank rows":   func(p *branch.PredictorSpec) { p.TAGE.BankRows = 1 << 30 },
+		"TAGE bimodal":     func(p *branch.PredictorSpec) { p.TAGE.BimodalRows = 1 << 30 },
+		"TAGE history":     func(p *branch.PredictorSpec) { p.TAGE.HistMax = 1 << 30 },
+		"TAGE SC rows":     func(p *branch.PredictorSpec) { p.TAGE.SCRows = 1 << 30 },
+		"TAGE loop":        func(p *branch.PredictorSpec) { p.TAGE.LoopSets, p.TAGE.LoopWays = 1<<62, 4 },
+		"ITTAGE banks":     func(p *branch.PredictorSpec) { p.Indirect.Banks = 1 << 20 },
+		"ITTAGE base rows": func(p *branch.PredictorSpec) { p.Indirect.BaseRows = 1 << 30 },
+		"ITTAGE history":   func(p *branch.PredictorSpec) { p.Indirect.HistMax = 1 << 30 },
+		"SHP tables": func(p *branch.PredictorSpec) {
+			shp := branch.M5SHPConfig()
+			shp.Tables = 1 << 20
+			p.Kind, p.SHP, p.TAGE = branch.KindSHP, &shp, nil
+		},
+		"SHP rows": func(p *branch.PredictorSpec) {
+			shp := branch.M5SHPConfig()
+			shp.Rows = 1 << 30
+			p.Kind, p.SHP, p.TAGE = branch.KindSHP, &shp, nil
+		},
+		"SHP history": func(p *branch.PredictorSpec) {
+			shp := branch.M5SHPConfig()
+			shp.GHISTLen = 1 << 30
+			p.Kind, p.SHP, p.TAGE = branch.KindSHP, &shp, nil
+		},
+	}
+	for name, grow := range oversized {
+		spec := m7Spec()
+		tage, ind := *spec.TAGE, *spec.Indirect
+		spec.TAGE, spec.Indirect = &tage, &ind
+		grow(&spec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := HypotheticalGens("M6", "M7", spec)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s past the caps accepted", name)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 4<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes", name, grown)
+		}
 	}
 
 	gens, err := HypotheticalGens("", "", m7Spec())

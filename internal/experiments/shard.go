@@ -1,7 +1,7 @@
 // Shard planning and deterministic merge for the distributed sweep
 // fabric: a population sweep (every generation × every slice) splits
-// into (generation, slice-range) work units keyed by spec digest, each
-// unit runs anywhere (another process, another machine, a cache), and
+// into (generation, slice-range) work units, each unit runs anywhere
+// (another process, another machine) or comes from a ResultStore, and
 // the shard results merge back into a PopulationRun whose SummaryDoc is
 // bit-identical to a single-process Run's. Bit-identity holds under any
 // permutation or partition of the shards because the merge never
@@ -32,23 +32,14 @@ type Shard struct {
 	Hi  int `json:"hi"`
 }
 
-// Digest fingerprints everything that determines the shard's results:
-// the normalized workload spec (slice content), the generation
-// configuration, the slice range, and the result schema version. Two
-// shards with equal digests compute byte-identical ShardDocs — the
-// invariant behind the fabric's shared result cache. The generation
-// enters via its full configuration, not its index, so a hypothetical
-// sweep differing in one generation (an "M7" spec) invalidates only
-// that generation's shards and reuses the rest.
-func (sh Shard) Digest(spec workload.SuiteSpec, gen core.GenConfig) string {
-	return sh.TraceDigest(spec, gen, "")
-}
-
-// TraceDigest is Digest for shards over an ingested trace population:
-// traceID (tracestore.PopulationID, itself a digest of the slices'
-// contents) joins the spec as an authority on what was simulated, so
-// equal digests still imply byte-identical ShardDocs. An empty traceID
-// is the synthetic-population Digest.
+// TraceDigest fingerprints everything that determines the shard's
+// results: the normalized workload spec (slice content), the generation
+// configuration, the slice range, the result schema version and, for a
+// shard over an ingested trace population, traceID
+// (tracestore.PopulationID, itself a digest of the slices' contents);
+// an empty traceID is a synthetic-population shard. Two shards with
+// equal digests compute byte-identical ShardDocs, so the fabric matches
+// a completed document to the shard it granted by digest.
 func (sh Shard) TraceDigest(spec workload.SuiteSpec, gen core.GenConfig, traceID string) string {
 	return obs.ConfigDigest(struct {
 		Schema int
@@ -83,8 +74,7 @@ func PlanShards(genCount, sliceCount, maxSlices int) []Shard {
 // ShardDoc is the versioned wire form of one completed shard: the
 // per-slice results of generation Gen's slices [SliceLo, SliceHi), plus
 // the shard's robustness tallies. Like SummaryDoc it carries no
-// wall-clock fields, so a shard computed twice (or served from the
-// fabric's digest-keyed cache) is byte-identical.
+// wall-clock fields, so a shard computed twice is byte-identical.
 type ShardDoc struct {
 	SchemaVersion int    `json:"schema_version"`
 	Digest        string `json:"digest"`
@@ -107,8 +97,8 @@ type ShardDoc struct {
 	// Resumed counts the shard's cells restored from a checkpoint rather
 	// than simulated. It is provenance of the run that computed the doc
 	// — MergeShards sums it into PopulationRun.Resumed — so it never
-	// travels: workers run without checkpoints, and the fabric's shard
-	// cache stores docs without it.
+	// travels: workers run without checkpoints, and a ResultStore keeps
+	// cells without it.
 	Resumed int `json:"-"`
 }
 

@@ -226,10 +226,10 @@ func TestMergeShardsDeterministicDocs(t *testing.T) {
 	if !bytes.Equal(ab, bb) {
 		t.Fatalf("same shard computed twice differs:\n  %s\n  %s", ab, bb)
 	}
-	if a.Digest != sh.Digest(spec, gens[sh.Gen]) {
-		t.Fatal("doc digest does not match Shard.Digest")
+	if a.Digest != sh.TraceDigest(spec, gens[sh.Gen], "") {
+		t.Fatal("doc digest does not match Shard.TraceDigest")
 	}
-	if d2 := (Shard{Gen: 1, Lo: 0, Hi: 3}).Digest(spec, gens[1]); d2 == a.Digest {
+	if d2 := (Shard{Gen: 1, Lo: 0, Hi: 3}).TraceDigest(spec, gens[1], ""); d2 == a.Digest {
 		t.Fatal("different slice ranges must not share a digest")
 	}
 }

@@ -167,7 +167,7 @@ func TestTraceShardMergeBitIdentical(t *testing.T) {
 		if d.Digest != sh.TraceDigest(spec, gens[sh.Gen], tracePopID) {
 			t.Fatalf("shard %+v digest %q does not match TraceDigest", sh, d.Digest)
 		}
-		if d.Digest == sh.Digest(spec, gens[sh.Gen]) {
+		if d.Digest == sh.TraceDigest(spec, gens[sh.Gen], "") {
 			t.Fatalf("shard %+v trace digest collides with the synthetic digest", sh)
 		}
 		if len(d.Weights) != sh.Hi-sh.Lo {

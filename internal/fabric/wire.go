@@ -2,8 +2,9 @@
 // coordinator/worker computation. The coordinator plans a sweep into
 // (generation, slice-range) shards (experiments.PlanShards), hands them
 // to workers under heartbeat-extended TTL leases, steals shards back
-// from slow or dead workers, serves repeated shards from a shared
-// digest-keyed result cache, and reassembles the completed ShardDocs
+// from slow or dead workers, takes the cells an earlier sweep or job
+// computed from a content-addressed result store
+// (experiments.ResultStore), and reassembles the completed ShardDocs
 // into a PopulationRun that is bit-identical to a single-process run
 // (experiments.MergeShards).
 //

@@ -64,7 +64,7 @@ func TestFabricHungUpLeaseFreesHandler(t *testing.T) {
 // /v1/fabric/lease is granted a shard as soon as a job is submitted,
 // and the parked lease shows on /metrics in both forms.
 func TestFabricParkedLeaseOverHTTP(t *testing.T) {
-	s := New(Config{Workers: 1, SweepParallelism: 2, CacheEntries: -1, FabricLeaseTTL: 30 * time.Second})
+	s := New(Config{Workers: 1, SweepParallelism: 2, FabricLeaseTTL: 30 * time.Second})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -45,12 +46,10 @@ func TestFabricShardedSweepBitIdenticalWithWorkerKill(t *testing.T) {
 	}
 
 	// Short lease TTL so the killed worker's shard is stolen within the
-	// test's patience. Job result cache off: a resubmit at the end must
-	// exercise the fabric's shard cache, not the job cache.
+	// test's patience.
 	s := New(Config{
 		Workers:           2,
 		SweepParallelism:  2,
-		CacheEntries:      -1,
 		FabricLeaseTTL:    200 * time.Millisecond,
 		FabricShardSlices: 2,
 	})
@@ -131,41 +130,31 @@ func TestFabricShardedSweepBitIdenticalWithWorkerKill(t *testing.T) {
 	if st.LeasesExpired == 0 || st.Steals == 0 {
 		t.Fatalf("worker kill not recovered by steal: expired=%d steals=%d", st.LeasesExpired, st.Steals)
 	}
-	if st.CacheEntries == 0 {
-		t.Fatal("no shards cached")
+	if st.CacheEntries != 6*len(ref.Slices) {
+		t.Fatalf("%d cells stored, want all %d the workers computed", st.CacheEntries, 6*len(ref.Slices))
 	}
 
-	// Resubmit: with the job cache off, the second sweep must be served
-	// from the fabric's digest-keyed shard cache, bit-identically.
-	_, v2 := postJob(t, ts, specRequest(serveSpec))
-	for {
-		final = getJob(t, ts, v2.ID)
-		if final.Status.terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cached sweep never finished")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Resubmit: the workers' cells answer it at submit, bit-identically.
+	resp2, v2 := postJob(t, ts, specRequest(serveSpec))
+	if resp2.StatusCode != http.StatusOK || !v2.Cached {
+		t.Fatalf("resubmit: status %d, cached %v; want 200 from the result store", resp2.StatusCode, v2.Cached)
 	}
 	var gotDoc2 experiments.SummaryDoc
-	if err := json.Unmarshal(final.Result, &gotDoc2); err != nil {
-		t.Fatalf("bad cached result: %v", err)
+	if err := json.Unmarshal(v2.Result, &gotDoc2); err != nil {
+		t.Fatalf("bad stored result: %v", err)
 	}
 	got2, _ := json.Marshal(gotDoc2)
 	if !bytes.Equal(got2, want) {
-		t.Fatal("cache-served sweep differs from single-process run")
+		t.Fatal("stored answer differs from single-process run")
 	}
 	st2 := s.Fabric().Stats()
-	if st2.CacheHits == 0 {
-		t.Fatal("resubmit produced no shard-cache hits")
-	}
 
 	// The acceptance counters are on /metrics.
 	snap := s.Metrics()
 	for _, name := range []string{
-		"serve.fabric.shard_cache_hits",
-		"serve.fabric.shard_cache_evictions",
+		"serve.fabric.cell_hits",
+		"serve.results.cells",
+		"serve.results.evictions",
 		"serve.fabric.steals",
 	} {
 		if _, ok := snap.Values[name]; !ok {

@@ -93,8 +93,8 @@ func TestJobRequestSchemaCompat(t *testing.T) {
 		}
 	}
 
-	// Digests hash the resolved spec and key the result cache and the
-	// <digest>.ckpt files, so they must not move: these literals predate
+	// Digests hash the resolved spec and name the <digest>.ckpt files,
+	// so they must not move: these literals predate
 	// the flat spelling's retirement.
 	nestedBody := `{"schema_version":2,"kind":"population","spec":{"preset":"quick","slices_per_family":2,"insts_per_slice":5000,"warmup_frac":0.25,"seed":229}}`
 	_, nested, _ := postRaw(t, ts, nestedBody)
@@ -177,7 +177,7 @@ func canonicalDoc(t *testing.T, raw json.RawMessage) []byte {
 // with all of M1..M6 plus the hypothetical generation, byte-identical
 // whether the server ran it single-process, reran it on pooled
 // simulators capturing and then forking warm snapshots, sharded it
-// across a fabric worker, or answered it from the shard cache.
+// across a fabric worker, or answered it from the result store.
 func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 	spec := serveSpec.Normalize()
 	gens, err := experiments.HypotheticalGens("M6", "M7", m7Predictor())
@@ -194,11 +194,11 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 	}
 
 	// Paths 1 and 2: single-process cold, then warm-pooled reruns on the
-	// same server (job result and shard caches off, so each resubmit
-	// recomputes through the shared pool and warm snapshot cache): the
+	// same server (result store off, so each resubmit recomputes through
+	// the shared pool and warm snapshot cache): the
 	// first rerun is each pair's second warmup and captures its image,
 	// the second forks it.
-	s := New(Config{Workers: 1, CacheEntries: -1, FabricCacheShards: -1})
+	s := New(Config{Workers: 1, ResultBudget: -1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -222,7 +222,7 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 	// Path 3: a separate server whose sweep routes through the fabric to
 	// an HTTP worker (the worker runs another server's shard runner,
 	// like `exyserve --worker`).
-	s2 := New(Config{Workers: 1, SweepParallelism: 2, CacheEntries: -1, FabricShardSlices: 4})
+	s2 := New(Config{Workers: 1, SweepParallelism: 2, FabricShardSlices: 4})
 	defer s2.Shutdown(context.Background())
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -267,22 +267,20 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 		t.Fatalf("no M7 MPKI mean in %v", doc.Means)
 	}
 
-	// Path 4: the same job again on the fabric server, its result cache
-	// off: every shard comes from the shard cache the worker filled.
-	planned := s2.Fabric().Stats().ShardsPlanned
-	hits := s2.Metrics().Get("serve.fabric.shard_cache_hits")
+	// Path 4: the same job again on the fabric server: every cell comes
+	// from the result store the worker's shards filled, at submit.
+	before := s2.Metrics()
 	resp, v = postJob(t, ts2, m7Request())
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("shard-cache submit: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || !v.Cached {
+		t.Fatalf("stored resubmit: status %d, cached %v; want 200 from the result store", resp.StatusCode, v.Cached)
 	}
-	if final = waitJob(t, ts2, v.ID); final.Status != StatusDone {
-		t.Fatalf("shard-cache job: %s: %s", final.Status, final.Error)
+	if got := canonicalDoc(t, v.Result); !bytes.Equal(got, want) {
+		t.Fatalf("stored result differs from reference:\n want %s\n got  %s", want, got)
 	}
-	if got := canonicalDoc(t, final.Result); !bytes.Equal(got, want) {
-		t.Fatalf("shard-cache result differs from reference:\n want %s\n got  %s", want, got)
-	}
-	if got := s2.Metrics().Get("serve.fabric.shard_cache_hits") - hits; got != float64(planned) {
-		t.Fatalf("shard-cache hits = %v, want all %d shards", got, planned)
+	after := s2.Metrics()
+	if after.Get("serve.fabric.shards_planned") != before.Get("serve.fabric.shards_planned") ||
+		after.Get("serve.fabric.leases_granted") != before.Get("serve.fabric.leases_granted") {
+		t.Fatal("stored resubmit planned or leased shards")
 	}
 
 	stopWorker()
@@ -290,7 +288,7 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 }
 
 // TestM7WorkerlessReusesShardCache: on a daemon with no fabric worker,
-// an M7 sweep after a plain one takes M1..M6 from the shard cache and
+// an M7 sweep after a plain one takes M1..M6 from the result store and
 // simulates only the M7 column, and its document is byte-identical to
 // experiments.Run over the hypothetical generation set — over the
 // synthetic suite and over an uploaded trace population.
@@ -356,9 +354,12 @@ func TestM7WorkerlessReusesShardCache(t *testing.T) {
 			}
 			after := s.Metrics()
 			delta := func(name string) float64 { return after.Get(name) - before.Get(name) }
+			if got := delta("serve.fabric.cell_hits"); got != float64(6*len(slices)) {
+				t.Fatalf("cell hits = %v, want the %d cells of M1..M6", got, 6*len(slices))
+			}
 			perGen := len(experiments.PlanShards(1, len(slices), shardSlices))
-			if got := delta("serve.fabric.shard_cache_hits"); got != float64(6*perGen) {
-				t.Fatalf("shard-cache hits = %v, want the %d shards of M1..M6", got, 6*perGen)
+			if got := delta("serve.fabric.shards_planned"); got != float64(7*perGen) {
+				t.Fatalf("shards planned = %v, want the %d a cold sweep plans", got, 7*perGen)
 			}
 			if got := delta("serve.slice_wall_us.count"); got != float64(len(slices)) {
 				t.Fatalf("simulated %v slices, want only the %d of the M7 column", got, len(slices))

@@ -103,14 +103,14 @@ func TestHealthzDoc(t *testing.T) {
 	if h.UptimeSeconds <= 0 {
 		t.Fatalf("uptime not advancing: %+v", h)
 	}
-	if h.QueueDepth != 0 || h.JobsRunning != 0 || h.JobsTracked != 0 || h.CacheEntries != 0 {
+	if h.QueueDepth != 0 || h.JobsRunning != 0 || h.JobsTracked != 0 || h.ResultCells != 0 {
 		t.Fatalf("idle server reports activity: %+v", h)
 	}
 }
 
 // TestServeLatencyHistograms: one completed sweep populates queue-wait,
-// run-duration, slice-wall, and heartbeat histograms, and health
-// reports the cached entry.
+// run-duration, slice-wall, and heartbeat histograms, and the result
+// store reports the job's cells.
 func TestServeLatencyHistograms(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
@@ -146,8 +146,8 @@ func TestServeLatencyHistograms(t *testing.T) {
 	if m["serve.cache_misses"] != 1 {
 		t.Fatalf("cache_misses = %v", m["serve.cache_misses"])
 	}
-	if m["serve.cache_entries"] != 1 {
-		t.Fatalf("cache_entries = %v", m["serve.cache_entries"])
+	if m["serve.results.cells"] != 54 {
+		t.Fatalf("results.cells = %v, want the job's 54", m["serve.results.cells"])
 	}
 
 	// The Prometheus view exposes the same histograms as bucket series.

@@ -52,15 +52,14 @@ func uploadFixture(t *testing.T, ts *httptest.Server) traceUploadDoc {
 }
 
 func TestTracePipelineEndToEnd(t *testing.T) {
-	// Coordinator A holds the trace store. Its job and shard caches are
-	// off: the worker-less reference sweep below goes through the
-	// coordinator too, and with either cache on the fabric re-run would
-	// leave its workers nothing to compute.
+	// Coordinator A holds the trace store. Its result store is off: the
+	// worker-less reference sweep below goes through the coordinator too,
+	// and with the store on the fabric re-run would leave its workers
+	// nothing to compute.
 	a := New(Config{
 		Workers:           2,
 		SweepParallelism:  2,
-		CacheEntries:      -1,
-		FabricCacheShards: -1,
+		ResultBudget:      -1,
 		TraceDir:          t.TempDir(),
 		FabricShardSlices: 2,
 	})
