@@ -118,13 +118,10 @@ func (w *WarmCache) SetSnapshotBudget(bytes int64) {
 // first use. The returned slices are shared: treat them as read-only.
 func (w *WarmCache) Suite(spec workload.SuiteSpec) []*trace.Slice {
 	key := obs.ConfigDigest(spec.Normalize())
-	w.mu.Lock()
-	if s, ok := w.suites[key]; ok {
-		w.mu.Unlock()
+	if s := w.cachedSuite(key); s != nil {
 		w.suiteHits.Add(1)
 		return s
 	}
-	w.mu.Unlock()
 	// Generate outside the lock: suite construction fans out across
 	// cores and can take a while at standard scale.
 	s := workload.Suite(spec)
@@ -142,6 +139,18 @@ func (w *WarmCache) Suite(spec workload.SuiteSpec) []*trace.Slice {
 	}
 	w.suites[key] = s
 	return s
+}
+
+// CachedSuite is Suite for a spec the cache already holds, and nil for
+// any other: it never generates, and counts neither a hit nor a miss.
+func (w *WarmCache) CachedSuite(spec workload.SuiteSpec) []*trace.Slice {
+	return w.cachedSuite(obs.ConfigDigest(spec.Normalize()))
+}
+
+func (w *WarmCache) cachedSuite(key string) []*trace.Slice {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.suites[key]
 }
 
 // snapshotsEnabled reports whether the byte budget admits any snapshot;

@@ -445,11 +445,14 @@ func newProgram(base uint64, funcs []*function, entries []*function, sites []mem
 	return p
 }
 
+// genSlack is the entries a trace is presized past its budget.
+const genSlack = 64
+
 // generate interprets the program until budget dynamic instructions are
 // produced, returning the trace.
 func (p *program) generate(budget int, r *rng.RNG) []isa.Inst {
 	ctx := &emitCtx{
-		out:    make([]isa.Inst, 0, budget+64),
+		out:    make([]isa.Inst, 0, budget+genSlack),
 		budget: budget,
 		r:      r,
 		sites:  p.sites,

@@ -13,7 +13,8 @@ func benchShape(seed uint64) SuiteSpec {
 
 // TestSuiteMatchesPerSliceGeneration pins that Suite's parallel
 // generation builds exactly the slices one ByName call per slice does,
-// in family order and index order within a family.
+// in family order and index order within a family, as many as
+// SuiteSpec.Slices counts, each into the SliceEntries it sizes.
 func TestSuiteMatchesPerSliceGeneration(t *testing.T) {
 	for _, spec := range []SuiteSpec{TinySpec, benchShape(1), benchShape(90017)} {
 		t.Run(fmt.Sprintf("%d/%d/seed=%d", spec.SlicesPerFamily, spec.InstsPerSlice, spec.Seed), func(t *testing.T) {
@@ -25,12 +26,15 @@ func TestSuiteMatchesPerSliceGeneration(t *testing.T) {
 				}
 			}
 			got := Suite(spec)
-			if len(got) != len(names) {
-				t.Fatalf("Suite built %d slices, want %d", len(got), len(names))
+			if len(got) != len(names) || float64(len(got)) != spec.Slices() {
+				t.Fatalf("Suite built %d slices, want %d; Slices counts %v", len(got), len(names), spec.Slices())
 			}
 			for i, sl := range got {
 				if sl.Name != names[i] {
 					t.Fatalf("slice %d is %s, want %s", i, sl.Name, names[i])
+				}
+				if e := float64(sl.Len() + genSlack); e != spec.SliceEntries() {
+					t.Fatalf("%s: generated into %v entries, SliceEntries sizes %v", sl.Name, e, spec.SliceEntries())
 				}
 				want, err := ByName(sl.Name, spec)
 				if err != nil {
