@@ -77,11 +77,15 @@ serve-smoke:
 # the reuse caches' admission rules: a pair's warm image is captured on
 # its second warmup only, the "seen once" set stays bounded, and the
 # simulator pool keeps at most seven configurations idle, with no
-# M1-M6 rebuilds while one-shot M7 jobs pass through a server.
+# M1-M6 rebuilds while one-shot M7 jobs pass through a server; and the
+# population table: the byte-charged LRU type behind it, suites and
+# trace populations evicted least recently used under one byte budget
+# (an evicted trace population reloaded from disk), and no digest or
+# decode stream kept for a slice once its population is evicted.
 snapfork-smoke:
 	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate|TestStepLoopDoesNotAllocate|TestRunGuardedAllocsConstant' . && \
 	$(GO) test -race -run 'TestZeroScan|TestClearDirty' ./internal/snapshot/ && \
-	$(GO) test -race -run 'TestWarmAdmission|TestSimPoolBound' ./internal/experiments/ && \
+	$(GO) test -race -run 'TestWarmAdmission|TestSimPoolBound|TestLRU|TestPopulationTable' ./internal/experiments/ && \
 	$(GO) test -race -run 'TestSliceJobMatchesDirectRun|TestAdmissionMetricsExported' ./internal/serve/
 
 # fabric-smoke races the distributed sweep fabric end to end: shard
@@ -107,7 +111,8 @@ fabric-smoke:
 
 # trace-smoke races the real-trace pipeline end to end: streaming
 # ChampSim decode and SimPoint slicing of the committed fixture, the
-# content-addressed store (ingest, dedup, bundle round-trip, eviction),
+# content-addressed disk store (ingest, dedup, persistence, corruption
+# checks, bundle round-trip),
 # weighted aggregation and its checkpoint/shard-merge bit-identity, and
 # the upload -> weighted fabric sweep whose workers fetch the population
 # over HTTP.

@@ -319,7 +319,6 @@ func runPopulation(command string, pf *popFlags, artifacts map[string]string) *e
 		experiments.WithSliceDeadline(*pf.sliceDeadline),
 		experiments.WithRetries(*pf.retries),
 	}
-	genCount := len(core.Generations())
 	if *pf.m7 != "" {
 		var spec branch.PredictorSpec
 		if err := json.Unmarshal([]byte(*pf.m7), &spec); err != nil {
@@ -332,11 +331,11 @@ func runPopulation(command string, pf *popFlags, artifacts map[string]string) *e
 			os.Exit(2)
 		}
 		opts = append(opts, experiments.WithGenerations(gens))
-		genCount = len(gens)
 	}
+	var bar *obs.Progress
 	if *pf.progress {
-		total := len(workload.Suite(sp)) * genCount
-		opts = append(opts, experiments.WithProgress(obs.NewProgress(os.Stderr, command, total)))
+		bar = obs.NewProgress(os.Stderr, command) // counts --resume's cells too
+		opts = append(opts, experiments.WithProgressFunc(bar.Report))
 	}
 	if *pf.checkpoint != "" {
 		opts = append(opts, experiments.WithCheckpoint(*pf.checkpoint))
@@ -359,6 +358,9 @@ func runPopulation(command string, pf *popFlags, artifacts map[string]string) *e
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	p, err := experiments.Run(ctx, sp, opts...)
+	if bar != nil {
+		bar.Finish()
+	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) && *pf.checkpoint != "" {
 			fmt.Fprintf(os.Stderr, "exysim: interrupted; completed slices checkpointed to %s (rerun with --resume)\n", *pf.checkpoint)

@@ -39,32 +39,32 @@ func TestWarmAdmissionOneShotStoresNoImage(t *testing.T) {
 	}
 }
 
-// TestWarmAdmissionSeenSetBounded: first sightings past
-// maxCachedDigests displace older ones instead of growing the "seen
-// once" set, and a pair seen a second time is admitted and leaves it.
+// TestWarmAdmissionSeenSetBounded: first sightings past maxSeenPairs
+// displace older ones instead of growing the "seen once" set, and a
+// pair seen a second time is admitted and leaves it.
 func TestWarmAdmissionSeenSetBounded(t *testing.T) {
 	w := NewWarmCache()
 	sl := &trace.Slice{Name: "probe/000", Warmup: 1}
-	n := maxCachedDigests + 100
+	n := maxSeenPairs + 100
 	for i := 0; i < n; i++ {
 		if w.admitCapture(fmt.Sprint(i), sl) {
 			t.Fatalf("pair %d admitted on its first warmup", i)
 		}
 	}
-	if got := len(w.seen); got > maxCachedDigests {
-		t.Fatalf("seen set holds %d pairs, bound is %d", got, maxCachedDigests)
+	if got := w.seen.len(); got > maxSeenPairs {
+		t.Fatalf("seen set holds %d pairs, bound is %d", got, maxSeenPairs)
 	}
 	if got := w.Stats().CaptureSkips; got != uint64(n) {
 		t.Fatalf("capture skips = %d, want %d", got, n)
 	}
 	// The newest sighting is never the one displaced.
 	last := fmt.Sprint(n - 1)
-	before := len(w.seen)
+	before := w.seen.len()
 	if !w.admitCapture(last, sl) {
 		t.Fatal("pair not admitted on its second warmup")
 	}
-	if len(w.seen) != before-1 {
-		t.Fatalf("admitted pair still in the seen set (%d → %d entries)", before, len(w.seen))
+	if w.seen.len() != before-1 {
+		t.Fatalf("admitted pair still in the seen set (%d → %d entries)", before, w.seen.len())
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"container/list"
 	"sync"
 	"unsafe"
 
@@ -27,31 +26,21 @@ type CellKey struct {
 // are deterministic, so a stored cell is what simulating the pair again
 // would produce. All methods are safe for concurrent use.
 type ResultStore struct {
-	memo      *WarmCache // slice-digest memo
-	mu        sync.Mutex
-	max       int        // cells the budget holds; 0 disables the store
-	lru       *list.List // front = most recent; values are *storedCell
-	cells     map[CellKey]*list.Element
-	evictions uint64
-}
-
-type storedCell struct {
-	key CellKey
-	res core.Result
+	table *WarmCache // resident slices' digests; nil hashes every slice
+	mu    sync.Mutex
+	cells *lru[CellKey, core.Result]
 }
 
 // NewResultStore builds a store of up to budget bytes (0 is the default,
-// negative disables it). Cover takes slice digests from memo's
-// per-slice memo — pass the WarmCache whose suites are swept, so each
-// stream is hashed once; nil uses a fresh one.
-func NewResultStore(budget int64, memo *WarmCache) *ResultStore {
+// negative disables it). Cover takes the digests of the slices table
+// holds resident from its population table — pass the WarmCache whose
+// populations are swept, so no stream is hashed twice — and hashes any
+// other slice; table may be nil.
+func NewResultStore(budget int64, table *WarmCache) *ResultStore {
 	if budget == 0 {
 		budget = DefaultResultBudget
 	}
-	if memo == nil {
-		memo = NewWarmCache()
-	}
-	return &ResultStore{memo: memo, max: int(max(budget, 0) / CellBytes), lru: list.New(), cells: make(map[CellKey]*list.Element)}
+	return &ResultStore{table: table, cells: newLRU[CellKey, core.Result](budget, nil)}
 }
 
 // CellBytes is a cell's charge: a core.Result plus 480 bytes of names,
@@ -63,11 +52,7 @@ const CellBytes = int64(unsafe.Sizeof(core.Result{})) + 480
 func (st *ResultStore) Get(k CellKey) (core.Result, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if el, ok := st.cells[k]; ok {
-		st.lru.MoveToFront(el)
-		return el.Value.(*storedCell).res, true
-	}
-	return core.Result{}, false
+	return st.cells.get(k)
 }
 
 // Put stores cell k's clean result, evicting least recently used cells
@@ -75,24 +60,14 @@ func (st *ResultStore) Get(k CellKey) (core.Result, bool) {
 func (st *ResultStore) Put(k CellKey, r core.Result) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.putLocked(k, r)
-}
-
-func (st *ResultStore) putLocked(k CellKey, r core.Result) {
-	if _, ok := st.cells[k]; ok || st.max == 0 {
-		return // one key, one result
-	}
-	st.cells[k] = st.lru.PushFront(&storedCell{k, r})
-	for ; st.lru.Len() > st.max; st.evictions++ {
-		delete(st.cells, st.lru.Remove(st.lru.Back()).(*storedCell).key)
-	}
+	st.cells.put(k, r, CellBytes)
 }
 
 // Stats reports the stored and the evicted cells.
 func (st *ResultStore) Stats() (cells int, evictions uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.lru.Len(), st.evictions
+	return st.cells.len(), st.cells.evictions
 }
 
 // Cover is a population's cells, each looked up once. Units cuts each
@@ -116,11 +91,9 @@ func (st *ResultStore) Cover(gens []core.GenConfig, slices []*trace.Slice, maxSl
 		maxSlices = len(slices)
 	}
 	c := &Cover{store: st, gens: make([]string, len(gens)), slices: make([]uint64, len(slices))}
-	st.memo.mu.Lock()
 	for s, sl := range slices {
-		c.slices[s] = st.memo.digestLocked(sl)
+		c.slices[s] = st.table.digest(sl)
 	}
-	st.memo.mu.Unlock()
 	for g := range gens {
 		c.gens[g] = obs.ConfigDigest(gens[g])
 		for s := range slices {
@@ -159,6 +132,6 @@ func (c *Cover) Keep(doc *ShardDoc) {
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
 	for i, r := range doc.Results {
-		c.store.putLocked(CellKey{c.gens[doc.Gen], c.slices[doc.SliceLo+i]}, r)
+		c.store.cells.put(CellKey{c.gens[doc.Gen], c.slices[doc.SliceLo+i]}, r, CellBytes)
 	}
 }

@@ -49,7 +49,7 @@ func TestResultStoreEvictsLRU(t *testing.T) {
 	if _, ok := off.Get(key(0)); ok {
 		t.Fatal("a disabled store kept a cell")
 	}
-	if NewResultStore(0, nil).max != int(DefaultResultBudget/CellBytes) {
+	if NewResultStore(0, nil).cells.budget != DefaultResultBudget {
 		t.Fatal("budget 0 is not the default")
 	}
 }

@@ -6,13 +6,16 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"exysim/internal/obs"
 	"exysim/internal/robust"
 	"exysim/internal/robust/faultinject"
 	"exysim/internal/workload"
@@ -236,6 +239,33 @@ func TestCheckpointResumeBitIdenticalMeans(t *testing.T) {
 
 	if m := p2.Manifest("test"); m.Robustness == nil || m.Robustness.ResumedSlices != total-1 {
 		t.Fatalf("manifest should record resumed slices: %+v", m.Robustness)
+	}
+}
+
+// TestResumedProgressBarEndsAtTotal: a resumed sweep's first progress
+// report carries the cells its checkpoint restored, so a bar driven by
+// the hook (exysim --progress --resume) ends at total/total although
+// the sweep simulates only the rest.
+func TestResumedProgressBarEndsAtTotal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	if _, err := Run(context.Background(), robustPop, WithCheckpoint(path),
+		WithStepHooks(hookOne(1, 1, robust.StepHook(faultinject.PanicAt(50))))); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	bar := obs.NewProgress(&out, "resume")
+	p, err := Run(context.Background(), robustPop, WithCheckpoint(path), WithResume(), WithProgressFunc(bar.Report))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bar.Finish()
+	total := len(p.Gens) * len(p.Slices)
+	if p.Resumed != total-1 {
+		t.Fatalf("resumed %d cells, want %d", p.Resumed, total-1)
+	}
+	last := out.String()[strings.LastIndex(out.String(), "\r"):]
+	if want := fmt.Sprintf("\rresume: %d/%d (100%%)", total, total); !strings.HasPrefix(last, want) {
+		t.Fatalf("resumed bar ends at %q, want %q", last, want)
 	}
 }
 

@@ -27,11 +27,9 @@ type ProgressFunc func(done, total int, insts uint64)
 // checkpoint, no retries, GOMAXPROCS workers — with panic isolation and
 // invariant checking always on.
 type runConfig struct {
-	progress       *obs.Progress
 	onProgress     ProgressFunc
 	sliceDeadline  time.Duration
 	retries        int
-	skipInvariants bool
 	checkpointPath string
 	resume         bool
 	stepHook       func(g, s int) robust.StepHook
@@ -50,16 +48,11 @@ type runConfig struct {
 // Option configures one Run invocation.
 type Option func(*runConfig)
 
-// WithProgress reports slices done / sim-MIPS / ETA through an obs
-// progress reporter (typically writing to stderr); nil is a no-op.
-func WithProgress(p *obs.Progress) Option {
-	return func(c *runConfig) { c.progress = p }
-}
-
-// WithProgressFunc installs a structured progress hook, called after
-// every completed slice. Unlike WithProgress it carries no terminal
-// formatting, which makes it the right seam for servers streaming
-// progress events. fn must be safe for concurrent calls.
+// WithProgressFunc installs the sweep's progress hook: called once
+// before any slice runs with the cells restored from a checkpoint, then
+// after every completed slice. Servers stream it as progress events;
+// the CLI drives an obs.Progress bar with it (Progress.Report). fn must
+// be safe for concurrent calls.
 func WithProgressFunc(fn ProgressFunc) Option {
 	return func(c *runConfig) { c.onProgress = fn }
 }
@@ -74,12 +67,6 @@ func WithSliceDeadline(d time.Duration) Option {
 // simulator with bounded backoff, before it is quarantined.
 func WithRetries(n int) Option {
 	return func(c *runConfig) { c.retries = n }
-}
-
-// WithoutInvariants disables the result-invariant checker (it is on by
-// default: silent nonsense quarantines the slice).
-func WithoutInvariants() Option {
-	return func(c *runConfig) { c.skipInvariants = true }
 }
 
 // WithCheckpoint appends completed (gen, slice) results to a JSONL
@@ -329,24 +316,19 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 	}
 
 	// Pre-decoded streams are compiled once per slice and shared by every
-	// generation and attempt (the step loop reads them immutably). A
-	// WarmCache memoizes them across Run calls; without one, a per-Run
-	// memo still collapses the gens×slices product to one compilation
-	// per slice.
-	var pdMu sync.Mutex
-	pdLocal := make(map[*trace.Slice]*trace.PreDecoded, len(slices))
-	preDecoded := func(sl *trace.Slice) *trace.PreDecoded {
-		if cfg.warm != nil {
-			return cfg.warm.PreDecoded(sl)
-		}
-		pdMu.Lock()
-		defer pdMu.Unlock()
-		pd := pdLocal[sl]
-		if pd == nil {
-			pd = sl.PreDecode()
-			pdLocal[sl] = pd
-		}
-		return pd
+	// generation and attempt (the step loop reads them immutably). The
+	// sweep asks for each slice's stream once: a WarmCache's table keeps
+	// it across Run calls while the slice's population is resident, and
+	// a population evicted mid-sweep still costs one compilation per
+	// slice.
+	streams := make([]func() *trace.PreDecoded, len(slices))
+	for i, sl := range slices {
+		streams[i] = sync.OnceValue(func() *trace.PreDecoded {
+			if cfg.warm != nil {
+				return cfg.warm.PreDecoded(sl)
+			}
+			return sl.PreDecode()
+		})
 	}
 	var genDigests []string
 	if cfg.warm != nil || cfg.pool != nil {
@@ -398,10 +380,10 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 					continue // canceled: drain the queue without running
 				}
 				sl := p.Slices[j.s]
-				pd := preDecoded(sl)
+				pd := streams[j.s]()
 				ropts := robust.Options{
 					Deadline:        cfg.sliceDeadline,
-					CheckInvariants: !cfg.skipInvariants,
+					CheckInvariants: true,
 					Cancel:          cancelCh,
 				}
 				if tel != nil {
@@ -549,7 +531,6 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 					}
 					st.Since(ckT, "checkpoint", "append", lane, 0)
 				}
-				cfg.progress.Step(r.Insts)
 				if cfg.onProgress != nil {
 					cfg.onProgress(int(doneCount.Add(1)), total, r.Insts)
 				}
@@ -571,7 +552,6 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
-	cfg.progress.Finish()
 	if st != nil {
 		genLane := st.Lane("generations")
 		for g := range gens {

@@ -1,13 +1,17 @@
 package experiments
 
 import (
-	"container/list"
+	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"exysim/internal/isa"
 	"exysim/internal/obs"
 	"exysim/internal/snapshot"
 	"exysim/internal/trace"
+	"exysim/internal/tracestore"
 	"exysim/internal/workload"
 )
 
@@ -18,29 +22,38 @@ import (
 // server's ceiling predictable.
 const DefaultSnapshotBudget = 2 << 30
 
-// warmCacheBounds keep the side indexes (suites, decode streams, digest
-// memos, first-warmup sightings) from growing without limit in a
-// long-lived process. Eviction beyond a bound is arbitrary-entry, not
-// LRU: these entries are cheap to rebuild and the bounds are far above
-// any steady working set.
-const (
-	maxCachedSuites  = 8
-	maxCachedStreams = 4096
-	maxCachedDigests = 16384
-)
+// populationBudget bounds the bytes of the populations a WarmCache
+// keeps resident, suites and trace populations together. It fits one
+// population at the request bound (2^26 trace entries, ~2.1 GiB).
+const populationBudget = 4 << 30
+
+// instBytes is a resident population's charge per instruction: its
+// isa.Inst plus the decoded byte of its stream.
+const instBytes = int64(unsafe.Sizeof(isa.Inst{}) + unsafe.Sizeof(isa.Decoded(0)))
+
+// maxSeenPairs bounds the second-touch "seen once" set; a sighting past
+// it displaces the least recent one.
+const maxSeenPairs = 16384
 
 // WarmCache shares the work a population sweep would otherwise repay per
 // (generation × slice × rep) even though it is invariant across most of
 // that product:
 //
-//   - workload suites, keyed by spec digest (generation of the synthetic
-//     population is a visible fraction of sweep wall time — and stable
-//     slice pointers make the downstream memos cheap);
-//   - pre-decoded μop streams (trace.PreDecoded), keyed by slice content
-//     digest — generation-invariant by construction;
+//   - populations, in one table under one byte budget
+//     (populationBudget), evicted least recently used: workload suites
+//     keyed by spec digest (generating the synthetic population is a
+//     visible fraction of sweep wall time) and trace populations keyed
+//     by population id. Each resident population keeps its slices'
+//     content digests and their pre-decoded μop streams
+//     (trace.PreDecoded), each compiled on first use;
 //   - warm-state snapshots (deep simulator images captured right after
 //     the warmup boundary), keyed by (generation config digest, slice
 //     content digest) — rep- and sweep-invariant for a fixed pair.
+//
+// Digests and streams are found through an index of resident slices
+// only. Evicting a population drops its slices from the index, so no
+// memo outlives its population; a slice no resident population holds
+// (a slice job's, a test's) is hashed or compiled afresh on each call.
 //
 // A pair's image is captured on its second warmup, not its first
 // (second-touch admission): the first warmup only records the pair in a
@@ -55,30 +68,42 @@ const (
 //
 // Invalidation is by key construction: changing a workload spec, slice
 // content, or generation config produces different digests, so stale
-// entries are never hit — they age out via the byte budget (snapshots)
-// or the entry bounds (indexes). The sweep harness additionally drops a
-// snapshot explicitly before a cold retry, so an image that keeps
-// failing a slice cannot quarantine the pair forever.
+// entries are never hit — they age out via the byte budgets. The sweep
+// harness additionally drops a snapshot explicitly before a cold retry,
+// so an image that keeps failing a slice cannot quarantine the pair
+// forever.
 //
 // All methods are safe for concurrent use.
 type WarmCache struct {
-	mu      sync.Mutex
-	suites  map[string][]*trace.Slice
-	digests map[*trace.Slice]uint64
-	decoded map[uint64]*trace.PreDecoded
-	snaps   map[snapKey]*list.Element
-	lru     *list.List // front = most recent; values are *snapEntry
-	bytes   int64
-	budget  int64
-	seen    map[snapKey]struct{} // pairs warmed once, not yet captured
+	mu     sync.Mutex
+	pops   *lru[string, *population] // "suite <spec digest>", "trace <id>"
+	index  map[*trace.Slice]sliceRef // the slices of resident populations
+	images *lru[snapKey, *snapshot.Image]
+	seen   *lru[snapKey, struct{}] // pairs warmed once, not yet captured
 
 	suiteHits, suiteMisses   atomic.Uint64
+	traceHits, traceMisses   atomic.Uint64
 	decodeHits, decodeMisses atomic.Uint64
 	snapHits, snapMisses     atomic.Uint64
 	captures, forks          atomic.Uint64
-	evictions, invalidations atomic.Uint64
+	invalidations            atomic.Uint64
 	captureErrors            atomic.Uint64
 	captureSkips             atomic.Uint64
+}
+
+// population is one entry of the table: a suite or a trace population,
+// each slice's digest and, once compiled, its stream.
+type population struct {
+	stored  *tracestore.Population // nil for a synthetic suite
+	slices  []*trace.Slice
+	digests []uint64
+	streams []*trace.PreDecoded
+}
+
+// sliceRef places an indexed slice in its population.
+type sliceRef struct {
+	pop *population
+	i   int
 }
 
 type snapKey struct {
@@ -86,23 +111,15 @@ type snapKey struct {
 	slice uint64 // slice content digest
 }
 
-type snapEntry struct {
-	key   snapKey
-	img   *snapshot.Image
-	bytes int64
-}
-
 // NewWarmCache builds an empty cache with the default snapshot budget.
 func NewWarmCache() *WarmCache {
-	return &WarmCache{
-		suites:  make(map[string][]*trace.Slice),
-		digests: make(map[*trace.Slice]uint64),
-		decoded: make(map[uint64]*trace.PreDecoded),
-		snaps:   make(map[snapKey]*list.Element),
-		lru:     list.New(),
-		budget:  DefaultSnapshotBudget,
-		seen:    make(map[snapKey]struct{}),
+	w := &WarmCache{
+		index:  make(map[*trace.Slice]sliceRef),
+		images: newLRU[snapKey, *snapshot.Image](DefaultSnapshotBudget, nil),
+		seen:   newLRU[snapKey, struct{}](maxSeenPairs, nil), // one "byte" a pair
 	}
+	w.pops = newLRU(populationBudget, w.unindex)
+	return w
 }
 
 // SetSnapshotBudget bounds resident snapshot bytes (≤0 disables
@@ -110,47 +127,150 @@ func NewWarmCache() *WarmCache {
 func (w *WarmCache) SetSnapshotBudget(bytes int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.budget = bytes
-	w.evictLocked()
+	w.images.setBudget(bytes)
 }
 
 // Suite returns the materialized population for spec, generating it on
 // first use. The returned slices are shared: treat them as read-only.
 func (w *WarmCache) Suite(spec workload.SuiteSpec) []*trace.Slice {
-	key := obs.ConfigDigest(spec.Normalize())
-	if s := w.cachedSuite(key); s != nil {
+	key := suiteKey(spec)
+	if p := w.resident(key); p != nil {
 		w.suiteHits.Add(1)
-		return s
+		return p.slices
 	}
-	// Generate outside the lock: suite construction fans out across
-	// cores and can take a while at standard scale.
+	// Generate and hash outside the lock: suite construction fans out
+	// across cores and can take a while at standard scale.
 	s := workload.Suite(spec)
 	w.suiteMisses.Add(1)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if prev, ok := w.suites[key]; ok {
-		return prev // raced with another generator: keep the first
+	digests := make([]uint64, len(s))
+	for i, sl := range s {
+		digests[i] = sl.Digest()
 	}
-	if len(w.suites) >= maxCachedSuites {
-		for k := range w.suites {
-			delete(w.suites, k)
-			break
-		}
-	}
-	w.suites[key] = s
-	return s
+	return w.admit(key, nil, s, digests).slices
 }
 
 // CachedSuite is Suite for a spec the cache already holds, and nil for
 // any other: it never generates, and counts neither a hit nor a miss.
 func (w *WarmCache) CachedSuite(spec workload.SuiteSpec) []*trace.Slice {
-	return w.cachedSuite(obs.ConfigDigest(spec.Normalize()))
+	if p := w.resident(suiteKey(spec)); p != nil {
+		return p.slices
+	}
+	return nil
 }
 
-func (w *WarmCache) cachedSuite(key string) []*trace.Slice {
+func suiteKey(spec workload.SuiteSpec) string {
+	return "suite " + obs.ConfigDigest(spec.Normalize())
+}
+
+// Trace returns trace population id from the table, or resolves it
+// with load (from disk, or from a peer) and admits it. It counts a
+// trace hit or miss, never a suite one.
+func (w *WarmCache) Trace(id string, load func() (*tracestore.Population, error)) (*tracestore.Population, error) {
+	if p := w.resident("trace " + id); p != nil {
+		w.traceHits.Add(1)
+		return p.stored, nil
+	}
+	w.traceMisses.Add(1)
+	pop, err := load()
+	if err != nil {
+		return nil, err
+	}
+	return w.AdmitTrace(pop)
+}
+
+// AdmitTrace makes pop resident without counting a resolution, taking
+// its slices' digests from its verified metadata, and returns the
+// population the table holds under pop's id: pop, or the copy already
+// resident.
+func (w *WarmCache) AdmitTrace(pop *tracestore.Population) (*tracestore.Population, error) {
+	if len(pop.Meta.Slices) != len(pop.Slices) {
+		return nil, fmt.Errorf("experiments: trace population %s has %d slices but %d slice metas",
+			pop.Meta.ID, len(pop.Slices), len(pop.Meta.Slices))
+	}
+	digests := make([]uint64, len(pop.Slices))
+	for i, sm := range pop.Meta.Slices {
+		d, err := strconv.ParseUint(sm.Digest, 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: trace population %s slice %d: %w", pop.Meta.ID, i, err)
+		}
+		digests[i] = d
+	}
+	return w.admit("trace "+pop.Meta.ID, pop, pop.Slices, digests).stored, nil
+}
+
+// resident returns the population under key, marking it most recently
+// used, or nil.
+func (w *WarmCache) resident(key string) *population {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.suites[key]
+	p, _ := w.pops.get(key)
+	return p
+}
+
+// admit makes a population resident under key and indexes its slices,
+// unless one already is: every caller then shares the resident copy.
+// Admitting may evict the least recently used populations; one larger
+// than the whole budget is returned unadmitted.
+func (w *WarmCache) admit(key string, stored *tracestore.Population, slices []*trace.Slice, digests []uint64) *population {
+	p := &population{stored: stored, slices: slices, digests: digests, streams: make([]*trace.PreDecoded, len(slices))}
+	var insts int64
+	for _, sl := range slices {
+		insts += int64(len(sl.Insts))
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if prev, ok := w.pops.get(key); ok {
+		return prev // raced with another admission: keep the first
+	}
+	if w.pops.put(key, p, insts*instBytes) {
+		for i, sl := range slices {
+			w.index[sl] = sliceRef{p, i}
+		}
+	}
+	return p
+}
+
+// unindex drops an evicted population's slices from the index.
+func (w *WarmCache) unindex(_ string, p *population) {
+	for _, sl := range p.slices {
+		if w.index[sl].pop == p {
+			delete(w.index, sl)
+		}
+	}
+}
+
+// digest returns sl's content digest: the index's when a resident
+// population holds sl, hashed afresh otherwise (and by a nil cache).
+func (w *WarmCache) digest(sl *trace.Slice) uint64 {
+	if w != nil {
+		w.mu.Lock()
+		ref, ok := w.index[sl]
+		w.mu.Unlock()
+		if ok {
+			return ref.pop.digests[ref.i]
+		}
+	}
+	return sl.Digest()
+}
+
+// PreDecoded returns sl's compiled decode stream. A resident
+// population's stream is compiled on first use and kept while the
+// population is; a slice no resident population holds is compiled
+// afresh, and nothing keeps it.
+func (w *WarmCache) PreDecoded(sl *trace.Slice) *trace.PreDecoded {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ref, ok := w.index[sl]
+	if ok && ref.pop.streams[ref.i] != nil {
+		w.decodeHits.Add(1)
+		return ref.pop.streams[ref.i]
+	}
+	w.decodeMisses.Add(1)
+	pd := sl.PreDecode()
+	if ok {
+		ref.pop.streams[ref.i] = pd
+	}
+	return pd
 }
 
 // snapshotsEnabled reports whether the byte budget admits any snapshot;
@@ -158,60 +278,22 @@ func (w *WarmCache) cachedSuite(key string) []*trace.Slice {
 func (w *WarmCache) snapshotsEnabled() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.budget > 0
-}
-
-// digestLocked memoizes sl's content digest by pointer.
-func (w *WarmCache) digestLocked(sl *trace.Slice) uint64 {
-	if d, ok := w.digests[sl]; ok {
-		return d
-	}
-	w.mu.Unlock()
-	d := sl.Digest() // hash outside the lock: full stream scan
-	w.mu.Lock()
-	if len(w.digests) >= maxCachedDigests {
-		clear(w.digests)
-	}
-	w.digests[sl] = d
-	return d
-}
-
-// PreDecoded returns the compiled decode stream for sl, compiling and
-// memoizing on first use (keyed by content digest, so every generation
-// and rep of the same slice shares one stream).
-func (w *WarmCache) PreDecoded(sl *trace.Slice) *trace.PreDecoded {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	d := w.digestLocked(sl)
-	if pd, ok := w.decoded[d]; ok {
-		w.decodeHits.Add(1)
-		return pd
-	}
-	w.decodeMisses.Add(1)
-	pd := sl.PreDecode()
-	if len(w.decoded) >= maxCachedStreams {
-		for k := range w.decoded {
-			delete(w.decoded, k)
-			break
-		}
-	}
-	w.decoded[d] = pd
-	return pd
+	return w.images.budget > 0
 }
 
 // Snapshot returns the cached warm-state image for (generation digest,
 // slice), marking it most-recently-used, or (nil, false) on a miss.
 func (w *WarmCache) Snapshot(genDigest string, sl *trace.Slice) (*snapshot.Image, bool) {
+	key := snapKey{gen: genDigest, slice: w.digest(sl)}
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	key := snapKey{gen: genDigest, slice: w.digestLocked(sl)}
-	if el, ok := w.snaps[key]; ok {
-		w.lru.MoveToFront(el)
+	img, ok := w.images.get(key)
+	w.mu.Unlock()
+	if ok {
 		w.snapHits.Add(1)
-		return el.Value.(*snapEntry).img, true
+	} else {
+		w.snapMisses.Add(1)
 	}
-	w.snapMisses.Add(1)
-	return nil, false
+	return img, ok
 }
 
 // admitCapture applies the second-touch rule at a pair's warmup
@@ -219,68 +301,36 @@ func (w *WarmCache) Snapshot(genDigest string, sl *trace.Slice) (*snapshot.Image
 // capture skip) and false returned; a later warmup of a recorded pair
 // returns true, and the caller captures and stores the image.
 func (w *WarmCache) admitCapture(genDigest string, sl *trace.Slice) bool {
+	key := snapKey{gen: genDigest, slice: w.digest(sl)}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	key := snapKey{gen: genDigest, slice: w.digestLocked(sl)}
-	if _, ok := w.seen[key]; ok {
-		delete(w.seen, key)
+	if w.seen.remove(key) {
 		return true
 	}
-	if len(w.seen) >= maxCachedDigests {
-		for k := range w.seen {
-			delete(w.seen, k)
-			break
-		}
-	}
-	w.seen[key] = struct{}{}
+	w.seen.put(key, struct{}{}, 1)
 	w.captureSkips.Add(1)
 	return false
 }
 
 // StoreSnapshot caches a freshly captured warm-state image, evicting
-// least-recently-used images beyond the byte budget.
+// least-recently-used images beyond the byte budget. Concurrent sweeps
+// may warm the same pair twice; images for one key are bit-identical,
+// and the newcomer is kept as most recent.
 func (w *WarmCache) StoreSnapshot(genDigest string, sl *trace.Slice, img *snapshot.Image) {
 	w.captures.Add(1)
+	key := snapKey{gen: genDigest, slice: w.digest(sl)}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	key := snapKey{gen: genDigest, slice: w.digestLocked(sl)}
-	if el, ok := w.snaps[key]; ok {
-		// Concurrent sweeps may warm the same pair twice; images for one
-		// key are bit-identical, keep the newcomer as most recent.
-		ent := el.Value.(*snapEntry)
-		w.bytes += int64(img.Bytes()) - ent.bytes
-		ent.img, ent.bytes = img, int64(img.Bytes())
-		w.lru.MoveToFront(el)
-	} else {
-		ent := &snapEntry{key: key, img: img, bytes: int64(img.Bytes())}
-		w.snaps[key] = w.lru.PushFront(ent)
-		w.bytes += ent.bytes
-	}
-	w.evictLocked()
-}
-
-func (w *WarmCache) evictLocked() {
-	for w.bytes > w.budget && w.lru.Len() > 0 {
-		el := w.lru.Back()
-		ent := el.Value.(*snapEntry)
-		w.lru.Remove(el)
-		delete(w.snaps, ent.key)
-		w.bytes -= ent.bytes
-		w.evictions.Add(1)
-	}
+	w.images.put(key, img, int64(img.Bytes()))
 }
 
 // Invalidate drops the snapshot for (generation digest, slice) — called
 // before a cold retry so a poisoned image cannot fail a pair repeatedly.
 func (w *WarmCache) Invalidate(genDigest string, sl *trace.Slice) {
+	key := snapKey{gen: genDigest, slice: w.digest(sl)}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	key := snapKey{gen: genDigest, slice: w.digestLocked(sl)}
-	if el, ok := w.snaps[key]; ok {
-		ent := el.Value.(*snapEntry)
-		w.lru.Remove(el)
-		delete(w.snaps, key)
-		w.bytes -= ent.bytes
+	if w.images.remove(key) {
 		w.invalidations.Add(1)
 	}
 }
@@ -293,11 +343,17 @@ func (w *WarmCache) noteFork() { w.forks.Add(1) }
 func (w *WarmCache) noteCaptureError() { w.captureErrors.Add(1) }
 
 // WarmStats is a point-in-time view of the cache's reuse efficiency.
-// CaptureSkips counts first warmups the second-touch rule did not
-// capture.
+// TraceHits and TraceMisses count trace population resolutions (a miss
+// loaded or fetched the population); Populations, PopulationBytes and
+// PopulationEvictions describe the table. CaptureSkips counts first
+// warmups the second-touch rule did not capture; Evictions counts
+// snapshots.
 type WarmStats struct {
 	SuiteHits, SuiteMisses   uint64
+	TraceHits, TraceMisses   uint64
 	DecodeHits, DecodeMisses uint64
+	Populations, PopulationBytes,
+	PopulationEvictions uint64
 	SnapshotHits, SnapshotMisses,
 	Captures, Forks,
 	Evictions, Invalidations, CaptureErrors, CaptureSkips uint64
@@ -308,15 +364,16 @@ type WarmStats struct {
 // Stats snapshots the cache counters.
 func (w *WarmCache) Stats() WarmStats {
 	w.mu.Lock()
-	bytes, entries := w.bytes, w.lru.Len()
-	w.mu.Unlock()
+	defer w.mu.Unlock()
 	return WarmStats{
 		SuiteHits: w.suiteHits.Load(), SuiteMisses: w.suiteMisses.Load(),
+		TraceHits: w.traceHits.Load(), TraceMisses: w.traceMisses.Load(),
 		DecodeHits: w.decodeHits.Load(), DecodeMisses: w.decodeMisses.Load(),
+		Populations: uint64(w.pops.len()), PopulationBytes: uint64(w.pops.bytes), PopulationEvictions: w.pops.evictions,
 		SnapshotHits: w.snapHits.Load(), SnapshotMisses: w.snapMisses.Load(),
 		Captures: w.captures.Load(), Forks: w.forks.Load(),
-		Evictions: w.evictions.Load(), Invalidations: w.invalidations.Load(),
+		Evictions: w.images.evictions, Invalidations: w.invalidations.Load(),
 		CaptureErrors: w.captureErrors.Load(), CaptureSkips: w.captureSkips.Load(),
-		SnapshotBytes: uint64(bytes), SnapshotEntries: uint64(entries),
+		SnapshotBytes: uint64(w.images.bytes), SnapshotEntries: uint64(w.images.len()),
 	}
 }

@@ -197,23 +197,34 @@ func TestConfigDigestStableAndSensitive(t *testing.T) {
 }
 
 func TestProgressReports(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProgress(&buf, "sweep", 4)
-	base := time.Now()
-	tick := 0
-	p.now = func() time.Time { tick++; return base.Add(time.Duration(tick) * time.Second) }
-	for i := 0; i < 4; i++ {
-		p.Step(1_000_000)
+	// bar drives a reporter through the calls a sweep's progress hook
+	// makes: (resumed, total, 0) first, then one per finished unit, with
+	// concurrent workers' counts arriving out of order.
+	bar := func(resumed, total int, order []int) string {
+		var buf bytes.Buffer
+		p := NewProgress(&buf, "sweep")
+		base := time.Now()
+		tick := 0
+		p.now = func() time.Time { tick++; return base.Add(time.Duration(tick) * time.Second) }
+		p.Report(resumed, total, 0)
+		for _, done := range order {
+			p.Report(done, total, 1_000_000)
+		}
+		p.Finish()
+		return buf.String()
 	}
-	p.Finish()
-	out := buf.String()
-	if !strings.Contains(out, "4/4") || !strings.Contains(out, "sim-MIPS") {
+	if out := bar(0, 4, []int{1, 2, 4, 3}); !strings.Contains(out, "4/4 (100%)") || !strings.Contains(out, "sim-MIPS") {
 		t.Fatalf("progress output missing fields: %q", out)
 	}
-	// Nil progress must be a no-op.
-	var np *Progress
-	np.Step(1)
-	np.Finish()
+	// A resumed sweep reports its restored units first and simulates
+	// only the rest; its bar still ends at total/total.
+	out := bar(3, 5, []int{5, 4})
+	if !strings.HasPrefix(out, "\rsweep: 3/5 (60%)") {
+		t.Fatalf("resumed bar does not start at the restored units: %q", out)
+	}
+	if last := out[strings.LastIndex(out, "\r"):]; !strings.HasPrefix(last, "\rsweep: 5/5 (100%)") {
+		t.Fatalf("resumed bar ends at %q, want 5/5", last)
+	}
 }
 
 func TestTracerResetClearsRingKeepsConfig(t *testing.T) {

@@ -8,36 +8,39 @@ import (
 )
 
 // Progress reports slices-done / ETA / sim-MIPS for long sweeps. It is
-// safe for concurrent Step calls from worker goroutines and throttles
-// terminal output. A nil *Progress is a no-op, so harness code can
-// thread one unconditionally.
+// safe for concurrent Report calls from worker goroutines and throttles
+// terminal output.
 type Progress struct {
 	mu    sync.Mutex
 	w     io.Writer
 	label string
-	total int
 
 	done      int
+	resumed   int // done at the first report: restored, not simulated
+	total     int
 	insts     uint64
-	start     time.Time
+	start     time.Time // the first report
 	lastPrint time.Time
 	now       func() time.Time // injectable clock for tests
 }
 
-// NewProgress builds a reporter writing to w (typically os.Stderr) for a
-// sweep of total units of work.
-func NewProgress(w io.Writer, label string, total int) *Progress {
-	return &Progress{w: w, label: label, total: total, start: time.Now(), now: time.Now}
+// NewProgress builds a reporter writing to w (typically os.Stderr).
+func NewProgress(w io.Writer, label string) *Progress {
+	return &Progress{w: w, label: label, now: time.Now}
 }
 
-// Step records one finished unit covering insts simulated instructions.
-func (p *Progress) Step(insts uint64) {
-	if p == nil {
-		return
-	}
+// Report records that done of total units are finished, the latest
+// covering insts simulated instructions. It has the shape of a sweep's
+// progress hook (experiments.WithProgressFunc): the first call carries
+// the units restored from a checkpoint, and concurrent workers may
+// deliver later counts out of order, so done only ever rises.
+func (p *Progress) Report(done, total int, insts uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.done++
+	if p.start.IsZero() {
+		p.start, p.resumed = p.now(), done
+	}
+	p.done, p.total = max(p.done, done), total
 	p.insts += insts
 	now := p.now()
 	if now.Sub(p.lastPrint) < 200*time.Millisecond && p.done != p.total {
@@ -49,9 +52,6 @@ func (p *Progress) Step(insts uint64) {
 
 // Finish prints the final line and a newline terminator.
 func (p *Progress) Finish() {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.print(p.now())
@@ -65,8 +65,8 @@ func (p *Progress) print(now time.Time) {
 		mips = float64(p.insts) / elapsed / 1e6
 	}
 	eta := "--"
-	if p.done > 0 && p.done < p.total {
-		remain := elapsed / float64(p.done) * float64(p.total-p.done)
+	if ran := p.done - p.resumed; ran > 0 && p.done < p.total {
+		remain := elapsed / float64(ran) * float64(p.total-p.done)
 		eta = (time.Duration(remain*1000) * time.Millisecond).Round(time.Second).String()
 	}
 	pct := 0

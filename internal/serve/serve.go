@@ -141,12 +141,11 @@ type Server struct {
 	// store is the content-addressed trace population store (nil without
 	// Config.TraceDir). traceFetch, when set (SetTraceFetcher), resolves
 	// populations this process doesn't hold — worker mode fetches bundles
-	// from its coordinator. traceMem caches fetched populations on
-	// store-less processes.
+	// from its coordinator. Resolved populations stay in warm's
+	// population table.
 	store      *tracestore.Store
 	traceFetch func(id string) (*tracestore.Population, error)
 	traceMu    sync.Mutex
-	traceMem   map[string]*tracestore.Population
 
 	// baseCtx parents every job context; killRemaining cancels them all
 	// when the drain deadline passes.
@@ -196,20 +195,6 @@ type Server struct {
 	log     *slog.Logger
 }
 
-// newWarmCache applies the SnapshotBudget convention: 0 keeps the
-// package default, negative disables snapshot caching (suite and decode
-// reuse stay on — they are cheap and always profitable).
-func newWarmCache(budget int64) *experiments.WarmCache {
-	w := experiments.NewWarmCache()
-	if budget != 0 {
-		if budget < 0 {
-			budget = 0
-		}
-		w.SetSnapshotBudget(budget)
-	}
-	return w
-}
-
 // New builds a server and starts its workers.
 func New(cfg Config) *Server {
 	s := newServer(cfg)
@@ -228,7 +213,11 @@ func newServer(cfg Config) *Server {
 		os.MkdirAll(cfg.CheckpointDir, 0o755)
 	}
 	base, kill := context.WithCancel(context.Background())
-	warm := newWarmCache(cfg.SnapshotBudget)
+	warm := experiments.NewWarmCache()
+	if cfg.SnapshotBudget != 0 {
+		// Negative disables snapshot caching; the population table stays.
+		warm.SetSnapshotBudget(cfg.SnapshotBudget)
+	}
 	results := experiments.NewResultStore(cfg.ResultBudget, warm)
 	s := &Server{
 		cfg:     cfg,
@@ -251,7 +240,6 @@ func newServer(cfg Config) *Server {
 		streamLat:     obs.NewHistogram(),
 		sliceWall:     obs.NewHistogram(),
 		heartbeat:     obs.NewHistogram(),
-		traceMem:      map[string]*tracestore.Population{},
 		started:       time.Now(),
 		log:           cfg.Logger,
 	}
@@ -291,8 +279,11 @@ func newServer(cfg Config) *Server {
 	pc.Counter("sims_built", s.pool.Built)
 	pc.Counter("evictions", s.pool.Evictions)
 	pc.Gauge("idle", func() float64 { return float64(s.pool.Idle()) })
-	// Warm-cache reuse efficiency: decode_hits/misses show how often a
-	// sweep reused a compiled μop stream, snapshot_forks vs captures how
+	// Warm-cache reuse efficiency: suite_hits/misses and decode_hits/
+	// misses show how often a sweep reused a resident suite and a
+	// compiled μop stream; populations, population_bytes and
+	// population_evictions describe the population table that holds
+	// suites and trace populations; snapshot_forks vs captures show how
 	// often a (generation, slice) pair skipped its warmup by forking the
 	// stored warm image, capture_skips how many first warmups the
 	// second-touch rule left uncaptured.
@@ -304,6 +295,9 @@ func newServer(cfg Config) *Server {
 	wc.Counter("suite_misses", warmStat(func(w experiments.WarmStats) uint64 { return w.SuiteMisses }))
 	wc.Counter("decode_hits", warmStat(func(w experiments.WarmStats) uint64 { return w.DecodeHits }))
 	wc.Counter("decode_misses", warmStat(func(w experiments.WarmStats) uint64 { return w.DecodeMisses }))
+	wc.Gauge("populations", func() float64 { return float64(s.warm.Stats().Populations) })
+	wc.Gauge("population_bytes", func() float64 { return float64(s.warm.Stats().PopulationBytes) })
+	wc.Counter("population_evictions", warmStat(func(w experiments.WarmStats) uint64 { return w.PopulationEvictions }))
 	wc.Counter("snapshot_hits", warmStat(func(w experiments.WarmStats) uint64 { return w.SnapshotHits }))
 	wc.Counter("snapshot_misses", warmStat(func(w experiments.WarmStats) uint64 { return w.SnapshotMisses }))
 	wc.Counter("snapshot_captures", warmStat(func(w experiments.WarmStats) uint64 { return w.Captures }))
@@ -340,19 +334,14 @@ func newServer(cfg Config) *Server {
 		wall := s.fabric.Stats().ShardWall
 		return wall.Mean()
 	})
-	// Trace store economy: populations on disk, resident decoded bytes,
-	// and the memory-vs-disk hit split for population resolution.
+	// Trace population resolution: hits answered from the population
+	// table, misses decoded from the store or fetched from a peer; and
+	// the populations on disk.
+	tc := sc.Child("tracestore")
+	tc.Counter("hits", warmStat(func(w experiments.WarmStats) uint64 { return w.TraceHits }))
+	tc.Counter("misses", warmStat(func(w experiments.WarmStats) uint64 { return w.TraceMisses }))
 	if s.store != nil {
-		tc := sc.Child("tracestore")
-		tstat := func(f func(tracestore.Stats) float64) func() float64 {
-			return func() float64 { return f(s.store.Stats()) }
-		}
-		tc.Gauge("populations", tstat(func(t tracestore.Stats) float64 { return float64(t.Populations) }))
-		tc.Gauge("cached", tstat(func(t tracestore.Stats) float64 { return float64(t.Cached) }))
-		tc.Gauge("cached_bytes", tstat(func(t tracestore.Stats) float64 { return float64(t.CachedBytes) }))
-		tc.Counter("hits", func() uint64 { return s.store.Stats().Hits })
-		tc.Counter("misses", func() uint64 { return s.store.Stats().Misses })
-		tc.Counter("evictions", func() uint64 { return s.store.Stats().Evictions })
+		tc.Gauge("populations", func() float64 { return float64(s.store.Len()) })
 	}
 
 	mux := http.NewServeMux()

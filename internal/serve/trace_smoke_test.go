@@ -139,8 +139,9 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 	want, _ := json.Marshal(refDoc)
 
 	// Fabric: two workers that do NOT hold the population. C is
-	// store-less (in-memory cache), D caches the fetched bundle into its
-	// own store. Both resolve from A's bundle endpoint on first grant.
+	// store-less (its population table only), D caches the fetched
+	// bundle into its own store. Both resolve from A's bundle endpoint
+	// on first grant.
 	c := New(Config{Workers: 1, SweepParallelism: 2})
 	defer c.Shutdown(context.Background())
 	c.SetTraceFetcher(HTTPTraceFetcher(ts.URL))
@@ -186,15 +187,21 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 	}
 
 	// The workers really resolved over HTTP: D's store now holds the
-	// population; C holds it in its fetch-cache table.
+	// population. Store-less C fetched it once, on its first grant, and
+	// answers the next resolution from its population table.
 	if !d.store.Has(id) {
 		t.Fatal("worker with a store did not cache the fetched population")
 	}
-	c.traceMu.Lock()
-	_, inMem := c.traceMem[id]
-	c.traceMu.Unlock()
-	if !inMem {
-		t.Fatal("store-less worker did not cache the fetched population in memory")
+	fetched := c.warm.Stats()
+	if fetched.TraceMisses != 1 {
+		t.Fatalf("store-less worker resolved the population with %d fetches, want 1", fetched.TraceMisses)
+	}
+	if _, err := c.population(id); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.warm.Stats(); st.TraceMisses != 1 || st.TraceHits != fetched.TraceHits+1 {
+		t.Fatalf("store-less worker's next resolution: %d hits, %d fetches; want %d and 1",
+			st.TraceHits, st.TraceMisses, fetched.TraceHits+1)
 	}
 
 	// A corrupted or mislabeled bundle is rejected by content check.

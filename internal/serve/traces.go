@@ -18,56 +18,46 @@ import (
 // populations this process doesn't hold locally: worker mode points it
 // at the coordinator (HTTPTraceFetcher) so a granted trace shard can be
 // computed without the operator pre-seeding every worker's store.
-// Fetched populations are cached — in the store when one is open,
-// otherwise in a small in-memory table. Call before the worker starts
-// leasing; the resolver is read concurrently afterwards.
+// Fetched populations enter the warm cache's population table, and the
+// store when one is open. Call before the worker starts leasing; the
+// resolver is read concurrently afterwards.
 func (s *Server) SetTraceFetcher(fetch func(id string) (*tracestore.Population, error)) {
 	s.traceMu.Lock()
 	s.traceFetch = fetch
 	s.traceMu.Unlock()
 }
 
-// population resolves a trace population id: the local store first,
-// then the in-memory table of previously fetched populations, then the
-// installed fetcher. The resolved population's recomputed id must match
-// the requested one — a corrupted or mislabeled source is an error, not
-// a silently different sweep.
+// population resolves a trace population id through the warm cache's
+// population table; a population the table does not hold is decoded
+// from the local store, or else fetched with the installed fetcher and
+// kept in the store when one is open. A fetched population's recomputed
+// id must match the requested one — a corrupted or mislabeled source is
+// an error, not a silently different sweep.
 func (s *Server) population(id string) (*tracestore.Population, error) {
-	if s.store != nil && s.store.Has(id) {
-		return s.store.Get(id)
-	}
-	s.traceMu.Lock()
-	pop := s.traceMem[id]
-	fetch := s.traceFetch
-	s.traceMu.Unlock()
-	if pop != nil {
-		return pop, nil
-	}
-	if fetch == nil {
-		return nil, fmt.Errorf("serve: unknown trace population %q", id)
-	}
-	pop, err := fetch(id)
-	if err != nil {
-		return nil, fmt.Errorf("serve: fetch trace population %s: %w", id, err)
-	}
-	if got := tracestore.PopulationID(pop.Slices, pop.Meta.SimPoint); got != id {
-		return nil, fmt.Errorf("serve: fetched trace population %s resolves to %s", id, got)
-	}
-	if s.store != nil {
-		if err := s.store.Put(pop); err != nil {
-			return nil, err
+	return s.warm.Trace(id, func() (*tracestore.Population, error) {
+		if s.store != nil && s.store.Has(id) {
+			return s.store.Get(id)
 		}
-	} else {
 		s.traceMu.Lock()
-		if len(s.traceMem) >= 8 {
-			// Workers touch one population per sweep; a tiny table with
-			// wholesale reset bounds memory without LRU bookkeeping.
-			s.traceMem = map[string]*tracestore.Population{}
-		}
-		s.traceMem[id] = pop
+		fetch := s.traceFetch
 		s.traceMu.Unlock()
-	}
-	return pop, nil
+		if fetch == nil {
+			return nil, fmt.Errorf("serve: unknown trace population %q", id)
+		}
+		pop, err := fetch(id)
+		if err != nil {
+			return nil, fmt.Errorf("serve: fetch trace population %s: %w", id, err)
+		}
+		if got := tracestore.PopulationID(pop.Slices, pop.Meta.SimPoint); got != id {
+			return nil, fmt.Errorf("serve: fetched trace population %s resolves to %s", id, got)
+		}
+		if s.store != nil {
+			if err := s.store.Put(pop); err != nil {
+				return nil, err
+			}
+		}
+		return pop, nil
+	})
 }
 
 // traceUploadDoc is the POST /v1/traces response.
@@ -138,6 +128,10 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	defer os.Remove(path)
 	pop, dedup, err := s.store.IngestFile(path, opts)
+	if err == nil {
+		// Resident from its upload on: the first sweep over it hits.
+		_, err = s.warm.AdmitTrace(pop)
+	}
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "ingest: "+err.Error())
 		return
@@ -151,10 +145,9 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, traceUploadDoc{Meta: pop.Meta, Dedup: dedup})
 }
 
-// maxTraceBody caps a trace upload at the trace store's resident byte
-// budget (tracestore.DefaultBudget, 1 GiB). A gzipped ChampSim trace of
-// a few hundred thousand instructions is a few MB.
-const maxTraceBody = tracestore.DefaultBudget
+// maxTraceBody caps a trace upload at 1 GiB. A gzipped ChampSim trace
+// of a few hundred thousand instructions is a few MB.
+const maxTraceBody = 1 << 30
 
 // spoolUpload copies at most limit bytes of the request body to a new
 // temp file in dir and returns its path. A body past the limit answers

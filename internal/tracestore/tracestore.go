@@ -17,14 +17,13 @@
 // collision means another process stored the same content first, which
 // is success by definition.
 //
-// Decoded populations are served from an in-memory LRU bounded by a byte
-// budget — the warm-cache pattern (internal/experiments.WarmCache)
-// applied to slice storage: hits share read-only slices, misses decode
-// from disk and may evict older populations.
+// The store keeps no population in memory: Get decodes and verifies
+// from disk on every call. A process that sweeps populations keeps the
+// resident ones in its experiments.WarmCache population table, under
+// the byte budget it shares with the synthetic suites.
 package tracestore
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -33,7 +32,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"exysim/internal/simpoint"
 	"exysim/internal/trace"
@@ -42,16 +40,6 @@ import (
 // MetaSchemaVersion is bumped when meta.json changes incompatibly;
 // readers reject newer versions instead of misparsing them.
 const MetaSchemaVersion = 1
-
-// DefaultBudget bounds a store's resident decoded-population bytes.
-// A paper-scale population (a few thousand 2×100K-inst slices) decodes
-// to a few hundred MB; 1 GiB holds several while keeping a long-lived
-// server's ceiling predictable.
-const DefaultBudget = 1 << 30
-
-// instBytes approximates the resident size of one decoded isa.Inst for
-// budget accounting (struct plus slice-header amortization).
-const instBytes = 64
 
 // SliceMeta records one stored slice's identity and weight.
 type SliceMeta struct {
@@ -94,14 +82,6 @@ type Population struct {
 	Slices []*trace.Slice
 }
 
-func (p *Population) bytes() int64 {
-	var n int64
-	for _, sl := range p.Slices {
-		n += int64(len(sl.Insts)) * instBytes
-	}
-	return n
-}
-
 // PopulationID derives the content address of a slice population
 // produced by cfg: an FNV-1a combination of the SimPoint configuration
 // and every slice's content digest, in slice order. It is deterministic
@@ -116,17 +96,6 @@ func PopulationID(slices []*trace.Slice, cfg simpoint.Config) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Stats is a point-in-time snapshot of store effectiveness.
-type Stats struct {
-	Populations int   // populations on disk
-	Cached      int   // populations resident in memory
-	CachedBytes int64 // resident decoded bytes
-	Budget      int64
-	Hits        uint64 // Get served from memory
-	Misses      uint64 // Get decoded from disk
-	Evictions   uint64 // populations dropped by the byte budget
-}
-
 // Store is a content-addressed population store rooted at one directory.
 // All methods are safe for concurrent use; multiple processes may share
 // a root (writes are atomic renames keyed by content).
@@ -134,20 +103,8 @@ type Store struct {
 	root string
 
 	mu       sync.Mutex
-	ids      map[string]struct{}      // populations known on disk
-	bySource map[string]string        // SourceKey -> id
-	cached   map[string]*list.Element // id -> LRU entry
-	lru      *list.List               // front = most recent; values *cacheEntry
-	bytes    int64
-	budget   int64
-
-	hits, misses, evictions atomic.Uint64
-}
-
-type cacheEntry struct {
-	id    string
-	pop   *Population
-	bytes int64
+	ids      map[string]struct{} // populations known on disk
+	bySource map[string]string   // SourceKey -> id
 }
 
 // Open opens (creating if needed) a store rooted at dir and indexes the
@@ -160,9 +117,6 @@ func Open(dir string) (*Store, error) {
 		root:     dir,
 		ids:      map[string]struct{}{},
 		bySource: map[string]string{},
-		cached:   map[string]*list.Element{},
-		lru:      list.New(),
-		budget:   DefaultBudget,
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -189,32 +143,19 @@ func Open(dir string) (*Store, error) {
 // Root returns the store's root directory.
 func (s *Store) Root() string { return s.root }
 
-// SetBudget bounds resident decoded bytes (≤0 disables the in-memory
-// cache; existing entries are dropped).
-func (s *Store) SetBudget(bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.budget = bytes
-	s.evictLocked()
-}
-
-func (s *Store) evictLocked() {
-	for s.bytes > s.budget && s.lru.Len() > 0 {
-		oldest := s.lru.Back()
-		ent := oldest.Value.(*cacheEntry)
-		s.lru.Remove(oldest)
-		delete(s.cached, ent.id)
-		s.bytes -= ent.bytes
-		s.evictions.Add(1)
-	}
-}
-
 // Has reports whether the population is on disk.
 func (s *Store) Has(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.ids[id]
 	return ok
+}
+
+// Len counts the populations on disk.
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ids)
 }
 
 // FindBySource returns the stored population id for an ingest source
@@ -252,8 +193,7 @@ func (s *Store) List() ([]Meta, error) {
 	return metas, nil
 }
 
-// Put persists the population (no-op when its id is already stored) and
-// makes it resident in the cache.
+// Put persists the population (no-op when its id is already stored).
 func (s *Store) Put(p *Population) error {
 	if p.Meta.ID == "" {
 		return fmt.Errorf("tracestore: population has no id")
@@ -275,22 +215,7 @@ func (s *Store) Put(p *Population) error {
 	if p.Meta.SourceKey != "" {
 		s.bySource[p.Meta.SourceKey] = p.Meta.ID
 	}
-	s.insertLocked(p)
 	return nil
-}
-
-func (s *Store) insertLocked(p *Population) {
-	if s.budget <= 0 {
-		return
-	}
-	if el, ok := s.cached[p.Meta.ID]; ok {
-		s.lru.MoveToFront(el)
-		return
-	}
-	ent := &cacheEntry{id: p.Meta.ID, pop: p, bytes: p.bytes()}
-	s.cached[p.Meta.ID] = s.lru.PushFront(ent)
-	s.bytes += ent.bytes
-	s.evictLocked()
 }
 
 func (s *Store) write(p *Population) error {
@@ -331,38 +256,10 @@ func (s *Store) write(p *Population) error {
 	return nil
 }
 
-// Get returns the population by id, from memory when resident, decoding
-// from disk otherwise. Every returned slice's content digest is checked
-// against the stored metadata — disk corruption surfaces as an error,
-// never as silently different results.
+// Get decodes the population by id from disk. Every returned slice's
+// content digest is checked against the stored metadata — disk
+// corruption surfaces as an error, never as silently different results.
 func (s *Store) Get(id string) (*Population, error) {
-	s.mu.Lock()
-	if el, ok := s.cached[id]; ok {
-		s.lru.MoveToFront(el)
-		pop := el.Value.(*cacheEntry).pop
-		s.mu.Unlock()
-		s.hits.Add(1)
-		return pop, nil
-	}
-	s.mu.Unlock()
-	s.misses.Add(1)
-	pop, err := s.load(id)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ids[id] = struct{}{}
-	s.insertLocked(pop)
-	if el, ok := s.cached[id]; ok {
-		// Another goroutine may have raced the load; serve one winner so
-		// callers share slice storage.
-		return el.Value.(*cacheEntry).pop, nil
-	}
-	return pop, nil
-}
-
-func (s *Store) load(id string) (*Population, error) {
 	dir := filepath.Join(s.root, id)
 	meta, err := readMeta(dir)
 	if err != nil {
@@ -389,22 +286,6 @@ func (s *Store) load(id string) (*Population, error) {
 		pop.Slices[i] = sl
 	}
 	return pop, nil
-}
-
-// Stats returns a snapshot of the store's counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	st := Stats{
-		Populations: len(s.ids),
-		Cached:      s.lru.Len(),
-		CachedBytes: s.bytes,
-		Budget:      s.budget,
-	}
-	s.mu.Unlock()
-	st.Hits = s.hits.Load()
-	st.Misses = s.misses.Load()
-	st.Evictions = s.evictions.Load()
-	return st
 }
 
 func sliceFile(i int) string { return fmt.Sprintf("slice-%04d.exyt", i) }

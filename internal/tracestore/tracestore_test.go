@@ -152,39 +152,6 @@ func TestStoreDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestStoreBudgetEvicts(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop := ingestFixture(t, s)
-	if st := s.Stats(); st.Cached != 1 {
-		t.Fatalf("stats after put: %+v", st)
-	}
-	s.SetBudget(1) // smaller than any population
-	if st := s.Stats(); st.Cached != 0 || st.Evictions == 0 {
-		t.Fatalf("budget did not evict: %+v", st)
-	}
-	// Still served — from disk.
-	if _, err := s.Get(pop.Meta.ID); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Misses == 0 {
-		t.Fatalf("expected a disk miss: %+v", st)
-	}
-	s.SetBudget(DefaultBudget)
-	if _, err := s.Get(pop.Meta.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(pop.Meta.ID); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Hits == 0 {
-		t.Fatalf("expected a memory hit: %+v", st)
-	}
-}
-
 func TestBundleRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
