@@ -6,7 +6,8 @@ GO ?= go
 # build, a build of the benchmark module, the test suite under the race
 # detector (including the golden behaviour lock), the observability
 # smoke, the fault-injection smoke, the serving-layer smoke, the
-# snapshot/fork smoke pinning warm-state bit-identity, and the workload
+# snapshot codec, step-loop allocation, population table and pool-bound
+# smoke, and the workload
 # smoke racing suite generation and the hinted table lookups at several
 # widths.
 tier1: fmt-check vet build perfbench-build race obs-smoke robust-smoke serve-smoke snapfork-smoke fabric-smoke trace-smoke predictor-smoke workload-smoke
@@ -68,24 +69,23 @@ robust-smoke:
 serve-smoke:
 	$(GO) test -race ./internal/serve/...
 
-# snapfork-smoke races the warm-state snapshot/fork protocol: forked
-# runs must be bit-identical to cold re-warms for every generation, the
-# sweep API must produce identical results with and without a warm
-# cache, the steady-state step loop must not allocate and a whole
-# guarded slice replay must allocate a constant few objects, and the
-# block zero scans must encode byte-identical images. It also races
-# the reuse caches' admission rules: a pair's warm image is captured on
-# its second warmup only, the "seen once" set stays bounded, and the
-# simulator pool keeps at most seven configurations idle, with no
-# M1-M6 rebuilds while one-shot M7 jobs pass through a server; and the
-# population table: the byte-charged LRU type behind it, suites and
-# trace populations evicted least recently used under one byte budget
-# (an evicted trace population reloaded from disk), and no digest or
-# decode stream kept for a slice once its population is evicted.
+# snapfork-smoke races the snapshot codec the benchmark's snapshot.*
+# rows time (a restored warm image must replay bit-identically to a
+# cold re-warm for every generation, and the block zero scans must
+# encode byte-identical images), the step-loop allocation guards (the
+# steady-state step loop must not allocate and a whole guarded slice
+# replay must allocate a constant few objects), the population table
+# (sweeps identical with and without it; the byte-charged LRU type
+# behind it; suites and trace populations evicted least recently used
+# under one byte budget, an evicted trace population reloaded from
+# disk; no digest or decode stream kept for a slice once its
+# population is evicted) and the pool bound (at most seven
+# configurations idle, with no M1-M6 rebuilds while one-shot M7 jobs
+# pass through a server).
 snapfork-smoke:
 	$(GO) test -race -run 'TestWarmForkMatchesColdRerun|TestRunWithWarmSnapshotsBitIdentical|TestDecodedStepLoopDoesNotAllocate|TestStepLoopDoesNotAllocate|TestRunGuardedAllocsConstant' . && \
 	$(GO) test -race -run 'TestZeroScan|TestClearDirty' ./internal/snapshot/ && \
-	$(GO) test -race -run 'TestWarmAdmission|TestSimPoolBound|TestLRU|TestPopulationTable' ./internal/experiments/ && \
+	$(GO) test -race -run 'TestSimPoolBound|TestLRU|TestPopulationTable' ./internal/experiments/ && \
 	$(GO) test -race -run 'TestSliceJobMatchesDirectRun|TestAdmissionMetricsExported' ./internal/serve/
 
 # fabric-smoke races the distributed sweep fabric end to end: shard

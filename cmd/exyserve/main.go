@@ -66,7 +66,6 @@ func run(args []string) int {
 	queue := fs.Int("queue", 16, "queued-job backlog before 429s")
 	sweepWorkers := fs.Int("sweep-workers", 0, "worker goroutines per population sweep (0 = GOMAXPROCS)")
 	resultBudget := fs.Int64("result-budget", 0, "bytes of simulated cells kept for reuse (0 = 16 MiB default, negative disables)")
-	snapBudget := fs.Int64("snapshot-budget", 0, "resident warm-snapshot bytes (0 = 2 GiB default, negative disables warm cache)")
 	ckptDir := fs.String("checkpoint-dir", "", "checkpoint population jobs under DIR for resume")
 	traceDir := fs.String("trace-dir", "", "content-addressed trace population store under DIR (enables POST /v1/traces)")
 	drain := fs.Duration("drain-timeout", serve.DrainDefault, "grace period for in-flight jobs on shutdown")
@@ -104,7 +103,6 @@ func run(args []string) int {
 		QueueDepth:        *queue,
 		SweepParallelism:  *sweepWorkers,
 		ResultBudget:      *resultBudget,
-		SnapshotBudget:    *snapBudget,
 		CheckpointDir:     *ckptDir,
 		TraceDir:          *traceDir,
 		EnablePprof:       *enablePprof,
@@ -127,7 +125,7 @@ func run(args []string) int {
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
 	// Worker mode: join the coordinator's fabric and compute leased
-	// shards on this process's pool and warm cache. The loop runs until
+	// shards on this process's pool and population table. The loop runs until
 	// drain, which hands outstanding leases back instead of letting
 	// them age out.
 	var (

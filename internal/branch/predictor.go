@@ -38,7 +38,7 @@ type DirectionPredictor interface {
 	StorageBits() int
 	// Reset restores the post-construction cold state in place without
 	// reallocating, bit-identically to a fresh instance — the contract
-	// pooled simulators and warm forks rely on.
+	// pooled simulators rely on.
 	Reset()
 }
 

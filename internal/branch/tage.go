@@ -19,8 +19,8 @@ import (
 // would do with its SHP bits re-spent on tagged geometric history.
 //
 // Everything is deterministic: allocation randomization comes from an
-// internal xorshift LFSR reseeded by Reset, so pooled reuse, warm forks,
-// and fabric shards stay bit-identical to a fresh run.
+// internal xorshift LFSR reseeded by Reset, so pooled reuse and fabric
+// shards stay bit-identical to a fresh run.
 
 // TAGEConfig sizes a TAGE-SC-L predictor. Zero sub-geometries disable
 // the optional components (loop predictor, statistical corrector).

@@ -152,8 +152,10 @@ func (s *Simulator) Reset() {
 	}
 }
 
-// stateCodec deep-copies simulator state for warm forking. The walk is
-// rooted at the pipeline core, whose reachable graph — front end, memory
+// stateCodec deep-copies simulator state for CaptureState and
+// RestoreState. No sweep forks warm state: the codec stays for the
+// benchmark's snapshot.* layer rows (perfbench/layers.go), its only
+// non-test caller, and goes once those rows do. The walk is rooted at the pipeline core, whose reachable graph — front end, memory
 // system, μop cache, power meter — is exactly the mutable state the
 // Reset() protocol inventories. Skip-listed as installed wiring rather
 // than state, mirroring what Reset leaves in place: the cycle tracer
@@ -171,11 +173,11 @@ var stateCodec = snapshot.NewCodec(
 	reflect.TypeOf((*branch.ITTAGEConfig)(nil)),
 )
 
-// CaptureState deep-snapshots the simulator's mutable state — typically
-// right after a slice's warmup, so sweeps can fork variants and reps
-// from the warm state instead of re-warming. The image is immutable and
-// safe to restore concurrently into any simulator of the same
-// generation.
+// CaptureState deep-snapshots the simulator's mutable state, e.g. right
+// after a slice's warmup. The image is immutable and safe to restore
+// concurrently into any simulator of the same generation. Its only
+// non-test caller is the benchmark's snapshot.capture_ms and
+// snapshot.image_mb rows (perfbench/layers.go).
 func (s *Simulator) CaptureState() (*snapshot.Image, error) {
 	return stateCodec.Capture(s.core)
 }
@@ -185,8 +187,9 @@ func (s *Simulator) CaptureState() (*snapshot.Image, error) {
 // configuration-derived shape) as the captured one; a mismatch returns
 // an error and leaves the instance suspect — Reset() or discard it.
 // Observability baselines (a lazily built Registry) are not rebased:
-// pooled sweep simulators do not snapshot registries, and callers that
-// do should Reset() first.
+// callers that snapshot registries should Reset() first. Its only
+// non-test caller is the benchmark's snapshot.restore_ms row
+// (perfbench/layers.go).
 func (s *Simulator) RestoreState(img *snapshot.Image) error {
 	return stateCodec.Restore(img, s.core)
 }

@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"exysim/internal/branch"
 	"exysim/internal/core"
@@ -123,7 +122,8 @@ type AblationResult struct {
 	EnergySavPct float64
 }
 
-// RunAblation executes one study over the spec's matching slices.
+// RunAblation executes one study over the spec's matching slices: one
+// sweep of the baseline and the disabled variant (named "<gen>-<study>").
 func RunAblation(a Ablation, spec workload.SuiteSpec) AblationResult {
 	gen, ok := core.GenByName(a.Gen)
 	if !ok {
@@ -131,18 +131,10 @@ func RunAblation(a Ablation, spec workload.SuiteSpec) AblationResult {
 	}
 	disabled := gen
 	a.Disable(&disabled)
-	want := map[string]bool{}
-	for _, s := range a.Suites {
-		want[s] = true
-	}
-	var slices []*trace.Slice
-	for _, sl := range workload.Suite(spec) {
-		if len(want) == 0 || want[sl.Suite] {
-			slices = append(slices, sl)
-		}
-	}
-	baseIPC, baseEPKI := meanMetrics(gen, slices)
-	disIPC, disEPKI := meanMetrics(disabled, slices)
+	disabled.Name = gen.Name + "-" + a.Name
+	p := sweepSuites(spec, a.Suites, gen, disabled)
+	baseIPC, baseEPKI := meanMetrics(p.Results[0])
+	disIPC, disEPKI := meanMetrics(p.Results[1])
 	res := AblationResult{
 		Ablation:    a,
 		BaselineIPC: baseIPC, DisabledIPC: disIPC,
@@ -157,32 +149,43 @@ func RunAblation(a Ablation, spec workload.SuiteSpec) AblationResult {
 	return res
 }
 
-func meanMetrics(gen core.GenConfig, slices []*trace.Slice) (ipc, epki float64) {
-	type pair struct{ ipc, epki float64 }
-	results := make([]pair, len(slices))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, sl := range slices {
-		wg.Add(1)
-		go func(i int, sl *trace.Slice) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r := core.RunSlice(gen, sl)
-			results[i] = pair{r.IPC, r.FetchEPKI}
-		}(i, sl)
+// sweepSuites runs gens over the slices of spec's suite that belong to
+// suites (every slice when suites is empty) in one Run. A quarantined
+// cell panics, as an unknown generation does: a mean over fewer slices
+// would be another study.
+func sweepSuites(spec workload.SuiteSpec, suites []string, gens ...core.GenConfig) *PopulationRun {
+	want := map[string]bool{}
+	for _, s := range suites {
+		want[s] = true
 	}
-	wg.Wait()
-	if len(results) == 0 {
+	slices := []*trace.Slice{} // non-nil: Run sweeps exactly these
+	for _, sl := range workload.Suite(spec) {
+		if len(want) == 0 || want[sl.Suite] {
+			slices = append(slices, sl)
+		}
+	}
+	p, err := Run(context.Background(), spec, WithGenerations(gens), WithPopulation("", slices))
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	if len(p.Failures) > 0 {
+		panic("experiments: quarantined " + p.Failures[0].String())
+	}
+	return p
+}
+
+// meanMetrics is the mean IPC and fetch EPKI of one generation's row,
+// summed in slice order.
+func meanMetrics(row []core.Result) (ipc, epki float64) {
+	if len(row) == 0 {
 		return 0, 0
 	}
-	var sIPC, sEPKI float64
-	for _, v := range results {
-		sIPC += v.ipc
-		sEPKI += v.epki
+	for _, r := range row {
+		ipc += r.IPC
+		epki += r.FetchEPKI
 	}
-	n := float64(len(results))
-	return sIPC / n, sEPKI / n
+	n := float64(len(row))
+	return ipc / n, epki / n
 }
 
 // RenderAblations runs and prints the requested studies (all when names

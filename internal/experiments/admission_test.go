@@ -1,72 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"exysim/internal/core"
-	"exysim/internal/trace"
-	"exysim/internal/workload"
 )
-
-// TestWarmAdmissionOneShotStoresNoImage: a configuration swept once
-// captures nothing and leaves no image in the cache — every pair's
-// warmup is its first — and its results match a sweep without a cache.
-func TestWarmAdmissionOneShotStoresNoImage(t *testing.T) {
-	ctx := context.Background()
-	spec := workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 4_000, WarmupFrac: 0.25, Seed: 0xE59}
-	want, err := Run(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := NewWarmCache()
-	got, err := Run(ctx, spec, WithWarmSnapshots(warm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Results, want.Results) {
-		t.Fatal("one-shot warm-cached sweep differs from a plain sweep")
-	}
-	st := warm.Stats()
-	if st.Captures != 0 || st.SnapshotEntries != 0 || st.SnapshotBytes != 0 {
-		t.Fatalf("one-shot sweep left %d captures, %d images, %d bytes; want none",
-			st.Captures, st.SnapshotEntries, st.SnapshotBytes)
-	}
-	if pairs := uint64(len(got.Gens) * len(got.Slices)); st.CaptureSkips != pairs {
-		t.Fatalf("capture skips = %d, want one per pair (%d)", st.CaptureSkips, pairs)
-	}
-}
-
-// TestWarmAdmissionSeenSetBounded: first sightings past maxSeenPairs
-// displace older ones instead of growing the "seen once" set, and a
-// pair seen a second time is admitted and leaves it.
-func TestWarmAdmissionSeenSetBounded(t *testing.T) {
-	w := NewWarmCache()
-	sl := &trace.Slice{Name: "probe/000", Warmup: 1}
-	n := maxSeenPairs + 100
-	for i := 0; i < n; i++ {
-		if w.admitCapture(fmt.Sprint(i), sl) {
-			t.Fatalf("pair %d admitted on its first warmup", i)
-		}
-	}
-	if got := w.seen.len(); got > maxSeenPairs {
-		t.Fatalf("seen set holds %d pairs, bound is %d", got, maxSeenPairs)
-	}
-	if got := w.Stats().CaptureSkips; got != uint64(n) {
-		t.Fatalf("capture skips = %d, want %d", got, n)
-	}
-	// The newest sighting is never the one displaced.
-	last := fmt.Sprint(n - 1)
-	before := w.seen.len()
-	if !w.admitCapture(last, sl) {
-		t.Fatal("pair not admitted on its second warmup")
-	}
-	if w.seen.len() != before-1 {
-		t.Fatalf("admitted pair still in the seen set (%d → %d entries)", before, w.seen.len())
-	}
-}
 
 // TestSimPoolBoundKeepsSevenConfigs: simulators of more than
 // maxPooledConfigs configurations leave at most maxPooledConfigs of them

@@ -4,8 +4,8 @@ import "container/list"
 
 // lru is a least-recently-used map whose entries are charged bytes
 // against one budget: the one eviction rule behind the population
-// table, the warm images and the result store. It does no locking;
-// each user holds its own lock around every call.
+// table and the result store. It does no locking; each user holds its
+// own lock around every call.
 type lru[K comparable, V any] struct {
 	budget, bytes int64
 	evictions     uint64
@@ -56,37 +56,16 @@ func (c *lru[K, V]) put(k K, v V, n int64) bool {
 	return true
 }
 
-// remove drops k, reporting whether it was stored. A removal is not
-// an eviction: onEvict is not called.
-func (c *lru[K, V]) remove(k K) bool {
-	el, ok := c.entries[k]
-	if ok {
-		c.drop(el)
-	}
-	return ok
-}
-
-// setBudget bounds the entries to budget bytes, evicting past it.
-func (c *lru[K, V]) setBudget(budget int64) {
-	c.budget = budget
-	c.evict()
-}
-
 func (c *lru[K, V]) len() int { return c.order.Len() }
 
 func (c *lru[K, V]) evict() {
 	for c.bytes > c.budget && c.order.Len() > 0 {
-		ent := c.drop(c.order.Back())
+		ent := c.order.Remove(c.order.Back()).(*lruEntry[K, V])
+		delete(c.entries, ent.key)
+		c.bytes -= ent.bytes
 		c.evictions++
 		if c.onEvict != nil {
 			c.onEvict(ent.key, ent.val)
 		}
 	}
-}
-
-func (c *lru[K, V]) drop(el *list.Element) *lruEntry[K, V] {
-	ent := c.order.Remove(el).(*lruEntry[K, V])
-	delete(c.entries, ent.key)
-	c.bytes -= ent.bytes
-	return ent
 }

@@ -1,7 +1,7 @@
 // Predictor-lab determinism suite: hypothetical-generation validation,
 // the TAGE golden-MPKI fixture, and the cross-machinery bit-identity
 // acceptance — an M7 sweep must produce byte-identical SummaryDocs
-// whether it runs plain, on a pooled/warm-forked simulator set, or as
+// whether it runs plain, on a pooled simulator set, or as
 // merged fabric shards. `make predictor-smoke` runs this (race-enabled)
 // as part of the tier-1 gate.
 package experiments
@@ -130,9 +130,9 @@ func TestTAGEGoldenMPKI(t *testing.T) {
 }
 
 // TestM7SweepBitIdenticalAcrossMachinery is the tentpole acceptance at
-// the experiments layer: one M7 sweep computed four ways — plain,
-// pooled+warm (three times: the second pass captures warm snapshots and
-// the third forks them), and as
+// the experiments layer: one M7 sweep computed three ways — plain,
+// pooled over a population table (twice: the second pass reuses the
+// first one's simulators, suite and decode streams), and as
 // independently merged fabric-style shards — must yield byte-identical
 // SummaryDocs, and must leave the shipped generations' rows exactly as
 // a default sweep computes them.
@@ -153,22 +153,18 @@ func TestM7SweepBitIdenticalAcrossMachinery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pooled + warm-forked: three sweeps through one pool and warm cache.
-	// The first records each pair's first warmup, the second captures
-	// every pair's image, the third replays every pair from snapshots.
-	pool, warm := NewSimPool(), NewWarmCache()
-	for pass := 0; pass < 3; pass++ {
-		p, err := Run(ctx, spec, WithGenerations(gens), WithSimPool(pool), WithWarmSnapshots(warm))
+	// Pooled: two sweeps through one pool and population table; the
+	// second runs on Reset simulators the first returned.
+	pool, table := NewSimPool(), NewPopulationTable()
+	for pass := 0; pass < 2; pass++ {
+		p, err := Run(ctx, spec, WithGenerations(gens), WithSimPool(pool), WithPopulationTable(table))
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, _ := json.Marshal(p.SummaryDoc())
 		if string(got) != string(want) {
-			t.Fatalf("pooled/warm pass %d differs from plain M7 sweep", pass)
+			t.Fatalf("pooled pass %d differs from plain M7 sweep", pass)
 		}
-	}
-	if st := warm.Stats(); st.Captures == 0 || st.Forks == 0 {
-		t.Fatalf("captures %d, forks %d — the warm capture and fork paths were not both exercised", st.Captures, st.Forks)
 	}
 
 	// Fabric-style: plan shards over the extended genset, run each
@@ -218,9 +214,9 @@ func TestM7SweepBitIdenticalAcrossMachinery(t *testing.T) {
 }
 
 // TestM7SweepSnapshotDigestsDisjoint: two differently-specced
-// hypothetical generations under the same name must never share pool
-// or warm-cache state — the digest keying that prevents an "M7"
-// TAGE sweep from poisoning an "M7" SHP sweep.
+// hypothetical generations under the same name must never share pooled
+// simulators — the digest keying that prevents an "M7" TAGE sweep from
+// poisoning an "M7" SHP sweep.
 func TestM7SweepSnapshotDigestsDisjoint(t *testing.T) {
 	ctx := context.Background()
 	spec := workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 4_000, WarmupFrac: 0.25, Seed: 0xE59}.Normalize()
@@ -243,15 +239,15 @@ func TestM7SweepSnapshotDigestsDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interleave both sweeps through one shared pool and warm cache; the
-	// third pass forks the images the second captured.
-	pool, warm := NewSimPool(), NewWarmCache()
-	for pass := 0; pass < 3; pass++ {
-		a, err := Run(ctx, spec, WithGenerations(tageGens), WithSimPool(pool), WithWarmSnapshots(warm))
+	// Interleave both sweeps through one shared pool and population
+	// table; the second pass runs on the simulators the first returned.
+	pool, table := NewSimPool(), NewPopulationTable()
+	for pass := 0; pass < 2; pass++ {
+		a, err := Run(ctx, spec, WithGenerations(tageGens), WithSimPool(pool), WithPopulationTable(table))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(ctx, spec, WithGenerations(shpGens), WithSimPool(pool), WithWarmSnapshots(warm))
+		b, err := Run(ctx, spec, WithGenerations(shpGens), WithSimPool(pool), WithPopulationTable(table))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,10 +262,13 @@ func TestM7SweepSnapshotDigestsDisjoint(t *testing.T) {
 			t.Fatalf("pass %d: shared-pool SHP M7 sweep diverged", pass)
 		}
 	}
-	if warm.Stats().Forks == 0 {
-		t.Fatal("no pass forked a warm snapshot — the fork path was not exercised")
-	}
 	m7 := len(tageGens) - 1
+	// Each M7 went back to the pool under its own configuration, so one
+	// displaced the other as the least recently used what-if instead of
+	// being handed to the other's sweep.
+	if poolKey(tageGens[m7]) == poolKey(shpGens[m7]) || pool.Evictions() == 0 {
+		t.Fatalf("the two M7s share a pool key or never displaced each other (%d evictions)", pool.Evictions())
+	}
 	ta, _ := json.Marshal(refTage.Results[m7])
 	sa, _ := json.Marshal(refSHP.Results[m7])
 	if string(ta) == string(sa) {

@@ -26,17 +26,17 @@ type CellKey struct {
 // are deterministic, so a stored cell is what simulating the pair again
 // would produce. All methods are safe for concurrent use.
 type ResultStore struct {
-	table *WarmCache // resident slices' digests; nil hashes every slice
+	table *PopulationTable // resident slices' digests; nil hashes every slice
 	mu    sync.Mutex
 	cells *lru[CellKey, core.Result]
 }
 
 // NewResultStore builds a store of up to budget bytes (0 is the default,
 // negative disables it). Cover takes the digests of the slices table
-// holds resident from its population table — pass the WarmCache whose
-// populations are swept, so no stream is hashed twice — and hashes any
-// other slice; table may be nil.
-func NewResultStore(budget int64, table *WarmCache) *ResultStore {
+// holds resident — pass the PopulationTable whose populations are
+// swept, so no stream is hashed twice — and hashes any other slice;
+// table may be nil.
+func NewResultStore(budget int64, table *PopulationTable) *ResultStore {
 	if budget == 0 {
 		budget = DefaultResultBudget
 	}

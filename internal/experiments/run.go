@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"exysim/internal/core"
@@ -18,8 +17,10 @@ import (
 // ProgressFunc observes sweep progress: done slices completed so far out
 // of total (gens × slices), and the simulated instruction count of the
 // slice that just finished (0 for the initial callback and for slices
-// restored from a checkpoint). It is called concurrently from worker
-// goroutines and must be safe for that.
+// restored from a checkpoint). Run serializes the calls: after the
+// initial one, done rises by one per call. The hook runs on worker
+// goroutines, under the lock that orders the calls, so it should return
+// quickly.
 type ProgressFunc func(done, total int, insts uint64)
 
 // runConfig is the resolved option set of one Run invocation. The zero
@@ -38,7 +39,7 @@ type runConfig struct {
 	pool           *SimPool
 	telemetry      *SweepTelemetry
 	spans          *obs.SpanTracer
-	warm           *WarmCache
+	table          *PopulationTable
 	units          []Shard
 	popID          string
 	popSlices      []*trace.Slice
@@ -50,9 +51,9 @@ type Option func(*runConfig)
 
 // WithProgressFunc installs the sweep's progress hook: called once
 // before any slice runs with the cells restored from a checkpoint, then
-// after every completed slice. Servers stream it as progress events;
-// the CLI drives an obs.Progress bar with it (Progress.Report). fn must
-// be safe for concurrent calls.
+// after every completed slice, one call at a time and in order (see
+// ProgressFunc). Servers stream it as progress events; the CLI drives
+// an obs.Progress bar with it (Progress.Report).
 func WithProgressFunc(fn ProgressFunc) Option {
 	return func(c *runConfig) { c.onProgress = fn }
 }
@@ -128,20 +129,14 @@ func WithSpanTracer(st *obs.SpanTracer) Option {
 	return func(c *runConfig) { c.spans = st }
 }
 
-// WithWarmSnapshots shares warmup-invariant work across generations,
-// reps, and sweeps through w: cached workload suites, pre-decoded μop
-// streams, and deep warm-state snapshots captured at a (generation,
-// slice) pair's warmup boundary once the pair warms up a second time
-// (see WarmCache). With a populated cache a sweep restores each pair's
-// warm image and replays only the measured region — skipping the
-// warmup stepping entirely — with results bit-identical to cold
-// re-warming (the snapshot/fork bit-identity tests pin this). Slices
-// whose pair has a step hook installed, or no warmup prefix, run cold as
-// before. Retries always run cold on a fresh simulator and drop the
-// pair's snapshot first, so a damaged image can never quarantine a pair
-// permanently.
-func WithWarmSnapshots(w *WarmCache) Option {
-	return func(c *runConfig) { c.warm = w }
+// WithPopulationTable shares the population-invariant work of a sweep
+// across generations and sweeps through t: the suite comes from t's
+// table (generated on first use), and each slice's pre-decoded μop
+// stream is compiled once while its population stays resident (see
+// PopulationTable). Results are bit-identical with and without a
+// table.
+func WithPopulationTable(t *PopulationTable) Option {
+	return func(c *runConfig) { c.table = t }
 }
 
 // withUnits restricts the sweep to the cells of units — the batch
@@ -153,14 +148,17 @@ func withUnits(units []Shard) Option {
 	return func(c *runConfig) { c.units = units }
 }
 
-// WithPopulation replaces the synthetic suite with an ingested trace
-// population: the sweep runs gens × slices over these slices instead of
-// workload.Suite(spec). id is the population's content address
-// (tracestore.PopulationID); it is folded into the checkpoint digest so
-// a checkpoint written for one trace population can never resume a
-// different one, and it surfaces as PopulationRun.PopID (and the
-// SummaryDoc "trace" field). Slices typically carry SimPoint weights —
-// WeightedMeans then estimates full-trace metrics from them.
+// WithPopulation replaces the synthetic suite with an explicit slice
+// list: the sweep runs gens × slices over these slices instead of
+// workload.Suite(spec). An ingested trace population passes its content
+// address (tracestore.PopulationID) as id; it is folded into the
+// checkpoint digest so a checkpoint written for one trace population
+// can never resume a different one, and it surfaces as
+// PopulationRun.PopID (and the SummaryDoc "trace" field). Its slices
+// typically carry SimPoint weights — WeightedMeans then estimates
+// full-trace metrics from them. A study sweeping a subset of a suite
+// (the ablations, the sharing study) passes id "" and the slices it
+// kept.
 func WithPopulation(id string, slices []*trace.Slice) Option {
 	return func(c *runConfig) {
 		c.popID = id
@@ -170,9 +168,9 @@ func WithPopulation(id string, slices []*trace.Slice) Option {
 
 // WithGenerations replaces the default M1..M6 generation set with gens —
 // the predictor-lab seam: append a core.Hypothetical "M7" to the shipped
-// six and the whole population machinery (pooling, warm snapshots,
-// checkpoints, shards) carries it like any product generation. Names
-// must be unique within the set; checkpoint digests and warm-cache keys
+// six and the whole population machinery (pooling, checkpoints, shards,
+// the result store) carries it like any product generation. Names must
+// be unique within the set; checkpoint digests, pool keys and cell keys
 // fold the full configurations, so differently-specced sets never mix.
 func WithGenerations(gens []core.GenConfig) Option {
 	return func(c *runConfig) { c.gens = gens }
@@ -228,8 +226,8 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 	switch {
 	case cfg.popSlices != nil:
 		slices = cfg.popSlices
-	case cfg.warm != nil:
-		slices = cfg.warm.Suite(spec)
+	case cfg.table != nil:
+		slices = cfg.table.Suite(spec)
 	default:
 		slices = workload.Suite(spec)
 	}
@@ -309,29 +307,31 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 		defer ckpt.Close()
 	}
 
-	var doneCount atomic.Int64
-	doneCount.Store(int64(p.Resumed))
+	// doneCount counts finished cells; progressMu orders the hook's
+	// calls with it, so done rises by one per call.
+	var progressMu sync.Mutex
+	doneCount := p.Resumed
 	if cfg.onProgress != nil {
 		cfg.onProgress(p.Resumed, total, 0)
 	}
 
 	// Pre-decoded streams are compiled once per slice and shared by every
 	// generation and attempt (the step loop reads them immutably). The
-	// sweep asks for each slice's stream once: a WarmCache's table keeps
+	// sweep asks for each slice's stream once: a PopulationTable keeps
 	// it across Run calls while the slice's population is resident, and
 	// a population evicted mid-sweep still costs one compilation per
 	// slice.
 	streams := make([]func() *trace.PreDecoded, len(slices))
 	for i, sl := range slices {
 		streams[i] = sync.OnceValue(func() *trace.PreDecoded {
-			if cfg.warm != nil {
-				return cfg.warm.PreDecoded(sl)
+			if cfg.table != nil {
+				return cfg.table.PreDecoded(sl)
 			}
 			return sl.PreDecode()
 		})
 	}
 	var genDigests []string
-	if cfg.warm != nil || cfg.pool != nil {
+	if cfg.pool != nil {
 		genDigests = make([]string, len(gens))
 		for g := range gens {
 			genDigests[g] = obs.ConfigDigest(gens[g])
@@ -406,60 +406,14 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 					}
 					return core.NewSimulator(gens[j.g])
 				}
-				// Warm forking applies when a cache is installed, the pair
-				// has no step hook (hooks must see the warmup too), and the
-				// slice has a warmup prefix worth skipping.
-				warmable := cfg.warm != nil && cfg.warm.snapshotsEnabled() && ropts.StepHook == nil && sl.Warmup > 0
 				pooled := sim
-				runAttempt := func(s *core.Simulator, attempt int) (core.Result, *robust.SliceFailure) {
-					// A recycled pooled instance needs Reset before a cold
-					// replay; a freshly built one is already cold, and a
-					// successful warm restore overwrites all of it anyway.
-					reset := s == pooled && pooled != nil
-					if warmable {
-						if attempt == 1 {
-							if img, ok := cfg.warm.Snapshot(genDigests[j.g], sl); ok {
-								if err := s.RestoreState(img); err == nil {
-									cfg.warm.noteFork()
-									if st != nil {
-										st.Instant("snapshot", "fork", lane, 0)
-									}
-									return robust.RunGuardedDecoded(s, pd, sl.Warmup, ropts)
-								}
-								// The image does not fit this instance: drop it
-								// and fall through to a cold replay. The failed
-								// restore may have partially overwritten state,
-								// so Reset unconditionally.
-								cfg.warm.Invalidate(genDigests[j.g], sl)
-								reset = true
-							}
-						} else {
-							// Retrying: never trust the snapshot that fed (or
-							// was captured by) the failed attempt.
-							cfg.warm.Invalidate(genDigests[j.g], sl)
-						}
-					}
-					if reset {
+				runAttempt := func(s *core.Simulator) (core.Result, *robust.SliceFailure) {
+					// A recycled pooled instance needs Reset; a freshly
+					// built one is already cold.
+					if s == pooled && pooled != nil {
 						s.Reset()
 					}
-					a := ropts
-					if warmable {
-						a.AfterWarmup = func() {
-							if !cfg.warm.admitCapture(genDigests[j.g], sl) {
-								return
-							}
-							img, err := s.CaptureState()
-							if err != nil {
-								cfg.warm.noteCaptureError()
-								return
-							}
-							cfg.warm.StoreSnapshot(genDigests[j.g], sl, img)
-							if st != nil {
-								st.Instant("snapshot", "capture", lane, int64(img.Bytes()))
-							}
-						}
-					}
-					return robust.RunGuardedDecoded(s, pd, 0, a)
+					return robust.RunGuardedDecoded(s, pd, 0, ropts)
 				}
 				var t0 time.Time
 				if tel != nil || st != nil {
@@ -532,7 +486,10 @@ func Run(ctx context.Context, spec workload.SuiteSpec, opts ...Option) (*Populat
 					st.Since(ckT, "checkpoint", "append", lane, 0)
 				}
 				if cfg.onProgress != nil {
-					cfg.onProgress(int(doneCount.Add(1)), total, r.Insts)
+					progressMu.Lock()
+					doneCount++
+					cfg.onProgress(doneCount, total, r.Insts)
+					progressMu.Unlock()
 				}
 			}
 		}(w)

@@ -124,7 +124,7 @@ func (sh Shard) clamp(n int) (lo, hi int) {
 
 // RunShards computes a batch of shards in one Run — one worker pool
 // over the union of their cells, inheriting every option the caller
-// passes: pool, warm cache, workers, checkpoint/resume, retries,
+// passes: pool, population table, workers, checkpoint/resume, retries,
 // deadlines — and cuts the result into one ShardDoc per unit, in
 // order. A cell's result, failure record and retry count do not depend
 // on which other units share its batch, so each doc is byte-identical
@@ -187,7 +187,7 @@ func RunShards(ctx context.Context, spec workload.SuiteSpec, units []Shard, opts
 // same underlying results yields a byte-identical SummaryDoc.
 //
 // slices is the materialized population for spec (workload.Suite or a
-// WarmCache's cached copy); the caller supplies it so a coordinator
+// PopulationTable's resident copy); the caller supplies it so a coordinator
 // merging many sweeps can reuse one generation of the suite.
 func MergeShards(spec workload.SuiteSpec, gens []core.GenConfig, slices []*trace.Slice, docs []*ShardDoc) (*PopulationRun, error) {
 	spec = spec.Normalize()

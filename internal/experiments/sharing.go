@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"exysim/internal/core"
-	"exysim/internal/trace"
 	"exysim/internal/workload"
 )
 
@@ -28,38 +27,36 @@ type SharingRow struct {
 // shared level — M2's L2, M3's L3 — erodes, while M3's private L2 keeps
 // its contents untouched (its co-runner L2 fill count is structurally
 // zero). Which side wins overall depends on working sets, which is why
-// the paper calls it an "evolving tradeoff" (§III).
+// the paper calls it an "evolving tradeoff" (§III). Every (generation,
+// load) variant, named e.g. "M2@0.3", runs in one sweep.
 func SharingStudy(spec workload.SuiteSpec, loads []float64) []SharingRow {
 	if loads == nil {
 		loads = []float64{0, 0.3, 0.6}
 	}
-	var slices []*trace.Slice
-	for _, sl := range workload.Suite(spec) {
-		if sl.Suite == "spec" || sl.Suite == "mobile" {
-			slices = append(slices, sl)
-		}
-	}
+	var gens []core.GenConfig
 	var rows []SharingRow
 	for _, genName := range []string{"M2", "M3"} {
 		for _, load := range loads {
 			gen, _ := core.GenByName(genName)
 			gen.Mem.CoRunnerLoad = load
-			sumIPC, sumLat := 0.0, 0.0
-			var l2p, l3p uint64
-			for _, sl := range slices {
-				r := core.RunSlice(gen, sl)
-				sumIPC += r.IPC
-				sumLat += r.AvgLoadLat
-				l2p += r.Mem.CoRunnerL2Fills
-				l3p += r.Mem.CoRunnerL3Fills
-			}
-			rows = append(rows, SharingRow{
-				Gen: genName, Load: load,
-				MeanIPC:    sumIPC / float64(len(slices)),
-				LoadLat:    sumLat / float64(len(slices)),
-				L2Polluted: l2p, L3Polluted: l3p,
-			})
+			gen.Name = fmt.Sprintf("%s@%g", genName, load)
+			gens = append(gens, gen)
+			rows = append(rows, SharingRow{Gen: genName, Load: load})
 		}
+	}
+	p := sweepSuites(spec, []string{"spec", "mobile"}, gens...)
+	for g := range rows {
+		sumIPC, sumLat := 0.0, 0.0
+		var l2p, l3p uint64
+		for _, r := range p.Results[g] {
+			sumIPC += r.IPC
+			sumLat += r.AvgLoadLat
+			l2p += r.Mem.CoRunnerL2Fills
+			l3p += r.Mem.CoRunnerL3Fills
+		}
+		n := float64(len(p.Slices))
+		rows[g].MeanIPC, rows[g].LoadLat = sumIPC/n, sumLat/n
+		rows[g].L2Polluted, rows[g].L3Polluted = l2p, l3p
 	}
 	return rows
 }

@@ -19,22 +19,23 @@ import (
 
 // TestPopulationTableNoMemoOutlivesPopulation sweeps more distinct
 // specs than a lowered budget holds, through every lookup that finds a
-// slice's digest or stream (Suite, PreDecoded, the snapshot lookups and
-// ResultStore.Cover), and checks that the evicted suites' slices are
-// collected. A slice no population holds never enters the index.
+// slice's digest or stream (Suite, PreDecoded and ResultStore.Cover),
+// and checks that the evicted suites' slices are collected. A slice no
+// population holds never enters the index.
 func TestPopulationTableNoMemoOutlivesPopulation(t *testing.T) {
 	ctx := context.Background()
 	gens := core.Generations()[:2]
-	w := NewWarmCache()
+	w := NewPopulationTable()
 	store := NewResultStore(0, w)
-	w.pops.setBudget(populationBytes(workload.Suite(tableSpec(1))) * 5 / 2) // two suites fit
+	w.pops.budget = populationBytes(workload.Suite(tableSpec(1))) * 5 / 2 // two suites fit
 
-	// sweep runs spec twice (the second pass captures warm images) and
-	// covers its cells, returning weak pointers to the suite's slices.
+	// sweep runs spec twice (the second pass hits the resident suite
+	// and its streams) and covers its cells, returning weak pointers to
+	// the suite's slices.
 	sweep := func(seed uint64) []weak.Pointer[trace.Slice] {
 		spec := tableSpec(seed)
 		for pass := 0; pass < 2; pass++ {
-			p, err := Run(ctx, spec, WithGenerations(gens), WithWarmSnapshots(w))
+			p, err := Run(ctx, spec, WithGenerations(gens), WithPopulationTable(w))
 			if err != nil || len(p.Failures) != 0 {
 				t.Fatalf("sweep of seed %d: %v %+v", seed, err, p.Failures)
 			}
@@ -54,8 +55,8 @@ func TestPopulationTableNoMemoOutlivesPopulation(t *testing.T) {
 		sweep(seed)
 	}
 	st := w.Stats()
-	if st.Populations != 2 || st.PopulationEvictions != 4 || st.Captures == 0 {
-		t.Fatalf("%d suites resident, %d evicted, %d images captured; want 2, 4 and some", st.Populations, st.PopulationEvictions, st.Captures)
+	if st.Populations != 2 || st.PopulationEvictions != 4 {
+		t.Fatalf("%d suites resident, %d evicted; want 2 and 4", st.Populations, st.PopulationEvictions)
 	}
 	if want := 2 * len(workload.Suite(tableSpec(1))); len(w.index) != want {
 		t.Fatalf("index holds %d slices, want the %d of the two resident suites", len(w.index), want)
@@ -69,14 +70,11 @@ func TestPopulationTableNoMemoOutlivesPopulation(t *testing.T) {
 		}
 	}
 
-	loose := NewWarmCache()
+	loose := NewPopulationTable()
 	sl := workload.Suite(tableSpec(9))[0]
 	loose.PreDecoded(sl)
 	loose.PreDecoded(sl)
 	NewResultStore(0, loose).Cover(gens, []*trace.Slice{sl}, 0)
-	loose.admitCapture("gen", sl)
-	loose.Snapshot("gen", sl)
-	loose.Invalidate("gen", sl)
 	if st := loose.Stats(); len(loose.index) != 0 || st.Populations != 0 || st.DecodeMisses != 2 {
 		t.Fatalf("a loose slice left %d index entries and %d populations, %d decodes; want 0, 0 and 2",
 			len(loose.index), st.Populations, st.DecodeMisses)

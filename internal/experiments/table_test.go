@@ -15,8 +15,8 @@ import (
 
 // TestLRUEvictsLeastRecentByBytes: past its budget the LRU evicts the
 // least recently used entries, a get or a put counting as a use; a
-// replaced entry is charged anew, an entry larger than the budget is
-// refused, and a removal is no eviction.
+// replaced entry is charged anew, and an entry larger than the budget
+// is refused.
 func TestLRUEvictsLeastRecentByBytes(t *testing.T) {
 	var evicted []string
 	c := newLRU(4, func(k string, _ int) { evicted = append(evicted, k) })
@@ -48,12 +48,9 @@ func TestLRUEvictsLeastRecentByBytes(t *testing.T) {
 		t.Fatal("an entry larger than the budget was stored")
 	}
 	check("oversized", 2, 3, "b", "c")
-	if !c.remove("d") || c.remove("d") {
-		t.Fatal("remove did not report d stored exactly once")
-	}
-	check("remove", 1, 2, "b", "c")
-	c.setBudget(0)
-	check("budget 0", 0, 0, "b", "c", "a")
+	c.budget = 0
+	c.evict()
+	check("budget 0", 0, 0, "b", "c", "d", "a")
 	if c.put("f", 6, 1) {
 		t.Fatal("a zero budget stored an entry")
 	}
@@ -93,8 +90,8 @@ func TestPopulationTableSharesOneBudget(t *testing.T) {
 		loads++
 		return store.Get(id)
 	}
-	w := NewWarmCache()
-	w.pops.setBudget(populationBytes(slices) * 3 / 2) // one population fits, not two
+	w := NewPopulationTable()
+	w.pops.budget = populationBytes(slices) * 3 / 2 // one population fits, not two
 	resolve := func() *tracestore.Population {
 		t.Helper()
 		got, err := w.Trace(id, load)

@@ -197,8 +197,9 @@ func (sw *sweep) width(i int) int { return sw.shards[i].Hi - sw.shards[i].Lo }
 type SubmitReq struct {
 	Spec workload.SuiteSpec
 	// Gens and Slices default to core.Generations() and
-	// workload.Suite(Spec); the serve layer passes its warm-cached
-	// suite so coordinator-side merges reuse one materialization.
+	// workload.Suite(Spec); the serve layer passes its population
+	// table's resident suite so coordinator-side merges reuse one
+	// materialization.
 	Gens   []core.GenConfig
 	Slices []*trace.Slice
 	// Trace names the ingested population Slices came from
@@ -836,11 +837,8 @@ func (c *Coordinator) runLocal(ctx context.Context, sw *sweep, batch []int, loca
 	job.Progress = func(done int) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		// Run's workers report concurrently: keep the highest count.
-		if done > sw.batchDone {
-			sw.batchDone = done
-			sw.reportLocked()
-		}
+		sw.batchDone = done
+		sw.reportLocked()
 	}
 	start := time.Now()
 	docs, err := local(ctx, job)

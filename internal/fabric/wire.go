@@ -106,7 +106,8 @@ type ShardJob struct {
 	Gens  []core.GenConfig
 	// Progress, set on local batches only, observes how many of the
 	// units' cells have finished, restored checkpoint cells included.
-	// It is called concurrently.
+	// A runner over experiments.Run calls it one call at a time, the
+	// count rising by one per call after the first.
 	Progress func(done int)
 }
 

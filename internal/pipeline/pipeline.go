@@ -389,7 +389,8 @@ func (c *Core) writeDst(in *isa.Inst, done uint64) {
 // the position the core is at: DecNewLine encodes the fetch-line
 // relationship to the stream predecessor, so a replay starts at 0 on a
 // cold (or Reset) core, or at the warmup boundary on a core restored
-// from a warm-state image captured there.
+// from a warm-state image captured there (the snapshot codec's tests
+// and the benchmark's layer rows).
 func (c *Core) StepDecoded(in *isa.Inst, d isa.Decoded) {
 	cfg := &c.cfg
 

@@ -118,10 +118,11 @@ type Options struct {
 	StepHook   StepHook
 	ResultHook ResultHook
 	// AfterWarmup fires once, immediately after the warmup boundary's
-	// stats reset — the seam where warm-state forking captures the
-	// simulator (core.Simulator.CaptureState). It never fires for a
-	// slice without a warmup prefix, nor for a forked run that starts
-	// at the boundary.
+	// stats reset. It never fires for a slice without a warmup prefix,
+	// nor for a run that starts at the boundary. No sweep sets it: its
+	// only non-test caller is the benchmark's layer rows
+	// (perfbench/layers.go), which time the measured region from it and
+	// capture the simulator there (core.Simulator.CaptureState).
 	AfterWarmup func()
 }
 
@@ -151,10 +152,11 @@ func RunGuarded(sim *core.Simulator, sl *trace.Slice, opts Options) (core.Result
 // stream on sim under opts, indexing the slice's shared read-only
 // instruction storage and its compiled decode metadata directly, with no
 // per-instruction copy and no heap traffic. from is the stream position
-// to start at: 0 for a full warmup+measure replay, or the slice's Warmup
-// for a run forked from a warm-state snapshot the caller just restored
-// (the warmup boundary's stats reset already happened before the
-// capture, so none is performed).
+// to start at: 0 for a full warmup+measure replay, as every sweep runs,
+// or the slice's Warmup for a run on a simulator the caller just
+// restored from a warm-state image captured at the boundary (its stats
+// reset happened before the capture, so none is performed) — what the
+// benchmark's snapshot.* layer rows and the codec's tests do.
 //
 // On failure it returns a SliceFailure (with Gen/Slice/ConfigDigest
 // filled in) and the simulator must be treated as corrupted: Reset() is
@@ -260,14 +262,10 @@ func BackoffCeiling(attempt int) time.Duration {
 
 // RunWithRetryFunc runs one slice guarded, retrying with a fresh
 // simulator (bounded backoff between attempts) up to retries extra
-// times. run(sim, attempt) performs one isolated execution (attempt is
-// 1-based); the sweep harness uses it to vary the strategy across
-// attempts — a warm-state fork first, a cold full replay on retry, so a
-// poisoned snapshot can never fail a slice permanently. The first
-// attempt uses sim if non-nil (a pooled instance the caller already
-// Reset); every retry builds a fresh one via build, because the
-// dominant cause of a retryable failure is exactly a corrupted pooled
-// instance.
+// times. run(sim) performs one isolated execution. The first attempt
+// uses sim if non-nil (a pooled instance run resets before use); every
+// retry builds a fresh one via build, because the dominant cause of a
+// retryable failure is exactly a corrupted pooled instance.
 //
 // A KindCanceled failure short-circuits: cancellation is a caller
 // decision, not a transient fault, so it is returned immediately with no
@@ -277,13 +275,13 @@ func BackoffCeiling(attempt int) time.Duration {
 // pooling; nil if every attempt failed), the per-attempt failures
 // (empty on first-attempt success; the last entry carries the final
 // Attempts count), and whether the slice ultimately succeeded.
-func RunWithRetryFunc(sim *core.Simulator, build func() *core.Simulator, retries int, run func(*core.Simulator, int) (core.Result, *SliceFailure)) (core.Result, *core.Simulator, []SliceFailure, bool) {
+func RunWithRetryFunc(sim *core.Simulator, build func() *core.Simulator, retries int, run func(*core.Simulator) (core.Result, *SliceFailure)) (core.Result, *core.Simulator, []SliceFailure, bool) {
 	var failures []SliceFailure
 	for attempt := 1; ; attempt++ {
 		if sim == nil {
 			sim = build()
 		}
-		res, fail := run(sim, attempt)
+		res, fail := run(sim)
 		if fail == nil {
 			return res, sim, failures, true
 		}

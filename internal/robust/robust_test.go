@@ -16,8 +16,8 @@ var tinySpec = workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 8_000, Warm
 
 // guarded is the retry attempt the RunWithRetryFunc tests share: a
 // guarded full replay of sl under opts.
-func guarded(sl *trace.Slice, opts Options) func(*core.Simulator, int) (core.Result, *SliceFailure) {
-	return func(s *core.Simulator, _ int) (core.Result, *SliceFailure) { return RunGuarded(s, sl, opts) }
+func guarded(sl *trace.Slice, opts Options) func(*core.Simulator) (core.Result, *SliceFailure) {
+	return func(s *core.Simulator) (core.Result, *SliceFailure) { return RunGuarded(s, sl, opts) }
 }
 
 func TestRunGuardedMatchesRunBitIdentical(t *testing.T) {

@@ -68,7 +68,7 @@ func TestFabricParkedLeaseOverHTTP(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	s.warm.Suite(serveSpec) // generated before the clock starts
+	s.table.Suite(serveSpec) // generated before the clock starts
 	cl := fabric.NewClient(ts.URL)
 	id, res := parkHTTPLease(t, context.Background(), s, cl)
 

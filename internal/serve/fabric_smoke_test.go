@@ -22,14 +22,15 @@ import (
 )
 
 // fabricWorkerRunner builds an isolated shard runner — its own
-// simulator pool and warm cache, like a separate exyserve process.
+// simulator pool and population table, like a separate exyserve
+// process.
 func fabricWorkerRunner() fabric.RunFunc {
 	pool := experiments.NewSimPool()
-	warm := experiments.NewWarmCache()
+	table := experiments.NewPopulationTable()
 	return func(ctx context.Context, job fabric.ShardJob) ([]*experiments.ShardDoc, error) {
 		return experiments.RunShards(ctx, job.Spec, job.Units,
 			experiments.WithSimPool(pool),
-			experiments.WithWarmSnapshots(warm),
+			experiments.WithPopulationTable(table),
 			experiments.WithWorkers(2))
 	}
 }

@@ -54,7 +54,7 @@ type SpecRequest struct {
 // direction/indirect predictor replaced by Predictor, under Name
 // (default "M7"). The result SummaryDoc then carries one extra
 // generation column, computed bit-identically across the local,
-// warm-pooled, and fabric-worker paths.
+// pooled, and fabric-worker paths.
 type M7Request struct {
 	Base      string               `json:"base,omitempty"`
 	Name      string               `json:"name,omitempty"`

@@ -176,8 +176,8 @@ func canonicalDoc(t *testing.T, raw json.RawMessage) []byte {
 // population sweep submitted via POST /v1/jobs returns a SummaryDoc
 // with all of M1..M6 plus the hypothetical generation, byte-identical
 // whether the server ran it single-process, reran it on pooled
-// simulators capturing and then forking warm snapshots, sharded it
-// across a fabric worker, or answered it from the result store.
+// simulators, sharded it across a fabric worker, or answered it from
+// the result store.
 func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 	spec := serveSpec.Normalize()
 	gens, err := experiments.HypotheticalGens("M6", "M7", m7Predictor())
@@ -193,16 +193,14 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Paths 1 and 2: single-process cold, then warm-pooled reruns on the
-	// same server (result store off, so each resubmit recomputes through
-	// the shared pool and warm snapshot cache): the
-	// first rerun is each pair's second warmup and captures its image,
-	// the second forks it.
+	// Paths 1 and 2: single-process cold, then a pooled rerun on the
+	// same server (result store off, so the resubmit recomputes on the
+	// simulators the first run returned to the pool).
 	s := New(Config{Workers: 1, ResultBudget: -1})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, label := range []string{"single-process", "warm-capturing rerun", "warm-forked rerun"} {
+	for _, label := range []string{"single-process", "pooled rerun"} {
 		resp, v := postJob(t, ts, m7Request())
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("%s submit: %d", label, resp.StatusCode)
@@ -215,9 +213,6 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 			t.Fatalf("%s result differs from experiments.Run reference:\n want %s\n got  %s", label, want, got)
 		}
 	}
-	if st := s.warm.Stats(); st.Captures == 0 || st.Forks == 0 {
-		t.Fatalf("captures %d, forks %d — the warm capture and fork paths were not both exercised", st.Captures, st.Forks)
-	}
 
 	// Path 3: a separate server whose sweep routes through the fabric to
 	// an HTTP worker (the worker runs another server's shard runner,
@@ -226,7 +221,7 @@ func TestM7SubmitThreePathsBitIdentical(t *testing.T) {
 	defer s2.Shutdown(context.Background())
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	ws := newServer(Config{}) // worker-side pool/warm cache, no HTTP jobs
+	ws := newServer(Config{}) // worker-side pool and table, no HTTP jobs
 	defer ws.Shutdown(context.Background())
 	wctx, stopWorker := context.WithCancel(context.Background())
 	defer stopWorker()
@@ -367,7 +362,7 @@ func TestM7WorkerlessReusesShardCache(t *testing.T) {
 			if got := delta("serve.fabric.local_runs"); got != 1 {
 				t.Fatalf("local runs = %v, want one batch", got)
 			}
-			if n := s.warm.Stats().SuiteMisses; trace && n != 0 {
+			if n := s.table.Stats().SuiteMisses; trace && n != 0 {
 				t.Fatalf("trace jobs generated %d synthetic suites they never sweep", n)
 			}
 		})

@@ -94,10 +94,9 @@ type Config struct {
 	// disables uploads — the server can still run trace jobs whose
 	// population arrives via SetTraceFetcher (worker mode).
 	TraceDir string
-	// SnapshotBudget bounds the resident bytes of cached warm-state
-	// snapshots (experiments.WarmCache): 0 means the default
-	// (experiments.DefaultSnapshotBudget, 2 GiB), negative disables
-	// snapshot caching — sweeps then re-warm every pair cold.
+	// Deprecated: SnapshotBudget is read by nothing. Sweeps no longer
+	// fork warm-state snapshots; a recurring cell comes from the result
+	// store (ResultBudget).
 	SnapshotBudget int64
 	// FabricLeaseTTL is the distributed-sweep lease TTL: how long a
 	// fabric worker may go silent before its shards are stolen. 0 uses
@@ -132,7 +131,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	pool    *experiments.SimPool
-	warm    *experiments.WarmCache
+	table   *experiments.PopulationTable
 	reg     *obs.Registry
 	results *experiments.ResultStore
 	fabric  *fabric.Coordinator
@@ -141,8 +140,8 @@ type Server struct {
 	// store is the content-addressed trace population store (nil without
 	// Config.TraceDir). traceFetch, when set (SetTraceFetcher), resolves
 	// populations this process doesn't hold — worker mode fetches bundles
-	// from its coordinator. Resolved populations stay in warm's
-	// population table.
+	// from its coordinator. Resolved populations stay in the population
+	// table.
 	store      *tracestore.Store
 	traceFetch func(id string) (*tracestore.Population, error)
 	traceMu    sync.Mutex
@@ -213,16 +212,12 @@ func newServer(cfg Config) *Server {
 		os.MkdirAll(cfg.CheckpointDir, 0o755)
 	}
 	base, kill := context.WithCancel(context.Background())
-	warm := experiments.NewWarmCache()
-	if cfg.SnapshotBudget != 0 {
-		// Negative disables snapshot caching; the population table stays.
-		warm.SetSnapshotBudget(cfg.SnapshotBudget)
-	}
-	results := experiments.NewResultStore(cfg.ResultBudget, warm)
+	table := experiments.NewPopulationTable()
+	results := experiments.NewResultStore(cfg.ResultBudget, table)
 	s := &Server{
 		cfg:     cfg,
 		pool:    experiments.NewSimPool(),
-		warm:    warm,
+		table:   table,
 		reg:     obs.NewRegistry(),
 		results: results,
 		fabric: fabric.NewCoordinator(fabric.Config{
@@ -279,35 +274,22 @@ func newServer(cfg Config) *Server {
 	pc.Counter("sims_built", s.pool.Built)
 	pc.Counter("evictions", s.pool.Evictions)
 	pc.Gauge("idle", func() float64 { return float64(s.pool.Idle()) })
-	// Warm-cache reuse efficiency: suite_hits/misses and decode_hits/
-	// misses show how often a sweep reused a resident suite and a
-	// compiled μop stream; populations, population_bytes and
-	// population_evictions describe the population table that holds
-	// suites and trace populations; snapshot_forks vs captures show how
-	// often a (generation, slice) pair skipped its warmup by forking the
-	// stored warm image, capture_skips how many first warmups the
-	// second-touch rule left uncaptured.
+	// Population-table reuse efficiency, under the scope's historical
+	// name "warm": suite_hits/misses and decode_hits/misses show how
+	// often a sweep reused a resident suite and a compiled μop stream;
+	// populations, population_bytes and population_evictions describe
+	// the table that holds suites and trace populations.
 	wc := sc.Child("warm")
-	warmStat := func(f func(experiments.WarmStats) uint64) func() uint64 {
-		return func() uint64 { return f(s.warm.Stats()) }
+	tableStat := func(f func(experiments.PopulationStats) uint64) func() uint64 {
+		return func() uint64 { return f(s.table.Stats()) }
 	}
-	wc.Counter("suite_hits", warmStat(func(w experiments.WarmStats) uint64 { return w.SuiteHits }))
-	wc.Counter("suite_misses", warmStat(func(w experiments.WarmStats) uint64 { return w.SuiteMisses }))
-	wc.Counter("decode_hits", warmStat(func(w experiments.WarmStats) uint64 { return w.DecodeHits }))
-	wc.Counter("decode_misses", warmStat(func(w experiments.WarmStats) uint64 { return w.DecodeMisses }))
-	wc.Gauge("populations", func() float64 { return float64(s.warm.Stats().Populations) })
-	wc.Gauge("population_bytes", func() float64 { return float64(s.warm.Stats().PopulationBytes) })
-	wc.Counter("population_evictions", warmStat(func(w experiments.WarmStats) uint64 { return w.PopulationEvictions }))
-	wc.Counter("snapshot_hits", warmStat(func(w experiments.WarmStats) uint64 { return w.SnapshotHits }))
-	wc.Counter("snapshot_misses", warmStat(func(w experiments.WarmStats) uint64 { return w.SnapshotMisses }))
-	wc.Counter("snapshot_captures", warmStat(func(w experiments.WarmStats) uint64 { return w.Captures }))
-	wc.Counter("snapshot_forks", warmStat(func(w experiments.WarmStats) uint64 { return w.Forks }))
-	wc.Counter("snapshot_evictions", warmStat(func(w experiments.WarmStats) uint64 { return w.Evictions }))
-	wc.Counter("snapshot_invalidations", warmStat(func(w experiments.WarmStats) uint64 { return w.Invalidations }))
-	wc.Counter("capture_errors", warmStat(func(w experiments.WarmStats) uint64 { return w.CaptureErrors }))
-	wc.Counter("capture_skips", warmStat(func(w experiments.WarmStats) uint64 { return w.CaptureSkips }))
-	wc.Gauge("snapshot_bytes", func() float64 { return float64(s.warm.Stats().SnapshotBytes) })
-	wc.Gauge("snapshot_entries", func() float64 { return float64(s.warm.Stats().SnapshotEntries) })
+	wc.Counter("suite_hits", tableStat(func(t experiments.PopulationStats) uint64 { return t.SuiteHits }))
+	wc.Counter("suite_misses", tableStat(func(t experiments.PopulationStats) uint64 { return t.SuiteMisses }))
+	wc.Counter("decode_hits", tableStat(func(t experiments.PopulationStats) uint64 { return t.DecodeHits }))
+	wc.Counter("decode_misses", tableStat(func(t experiments.PopulationStats) uint64 { return t.DecodeMisses }))
+	wc.Gauge("populations", func() float64 { return float64(s.table.Stats().Populations) })
+	wc.Gauge("population_bytes", func() float64 { return float64(s.table.Stats().PopulationBytes) })
+	wc.Counter("population_evictions", tableStat(func(t experiments.PopulationStats) uint64 { return t.PopulationEvictions }))
 	// Fabric health: worker membership, lease churn (expiries and
 	// steals are the failure-recovery signal), and the cells its sweeps
 	// found in the result store.
@@ -338,8 +320,8 @@ func newServer(cfg Config) *Server {
 	// table, misses decoded from the store or fetched from a peer; and
 	// the populations on disk.
 	tc := sc.Child("tracestore")
-	tc.Counter("hits", warmStat(func(w experiments.WarmStats) uint64 { return w.TraceHits }))
-	tc.Counter("misses", warmStat(func(w experiments.WarmStats) uint64 { return w.TraceMisses }))
+	tc.Counter("hits", tableStat(func(t experiments.PopulationStats) uint64 { return t.TraceHits }))
+	tc.Counter("misses", tableStat(func(t experiments.PopulationStats) uint64 { return t.TraceMisses }))
 	if s.store != nil {
 		tc.Gauge("populations", func() float64 { return float64(s.store.Len()) })
 	}
@@ -501,7 +483,7 @@ func (s *Server) runJob(job *Job) {
 // and returns its versioned SummaryDoc. Cells an earlier job computed
 // come from the result store; the rest go to live fabric workers or,
 // with none live, to one local batch on this server's simulator pool,
-// warm cache and checkpoint. Every path merges bit-identically to a
+// population table and checkpoint. Every path merges bit-identically to a
 // single-process experiments.Run.
 func (s *Server) runPopulation(job *Job) (json.RawMessage, error) {
 	var ckpt []experiments.Option
@@ -522,8 +504,9 @@ func (s *Server) runPopulation(job *Job) (json.RawMessage, error) {
 		}
 		req.Trace, req.Slices = pop.Meta.ID, pop.Slices
 	} else {
-		// The warm-cached suite: the local batch sweeps these same slices.
-		req.Slices = s.warm.Suite(job.spec)
+		// The table's resident suite: the local batch sweeps these same
+		// slices.
+		req.Slices = s.table.Suite(job.spec)
 	}
 	p, err := s.fabric.Submit(job.ctx, req)
 	if err != nil {
@@ -533,7 +516,7 @@ func (s *Server) runPopulation(job *Job) (json.RawMessage, error) {
 }
 
 // ShardRunner returns the fabric work function backed by this server's
-// simulator pool, warm cache, and telemetry — what cmd/exyserve's
+// simulator pool, population table, and telemetry — what cmd/exyserve's
 // worker mode computes grants from a remote coordinator with.
 func (s *Server) ShardRunner() fabric.RunFunc { return s.shardRunner() }
 
@@ -543,10 +526,9 @@ func (s *Server) shardRunner(extra ...experiments.Option) fabric.RunFunc {
 	return func(ctx context.Context, job fabric.ShardJob) ([]*experiments.ShardDoc, error) {
 		opts := []experiments.Option{
 			experiments.WithSimPool(s.pool),
-			// One process-lifetime cache: the second sweep over a pair
-			// captures its warm-state snapshot, every later one forks it
-			// instead of re-warming.
-			experiments.WithWarmSnapshots(s.warm),
+			// One process-lifetime table: every sweep over a resident
+			// population reuses its suite and its decode streams.
+			experiments.WithPopulationTable(s.table),
 			// Per-batch collector, fleet-shared histograms: every sweep's
 			// slice wall times and heartbeat gaps land in the server's
 			// /metrics distributions.
@@ -619,8 +601,8 @@ func sliceCell(digest string) experiments.CellKey {
 // the job needs, generating nothing: a slice job is one lookup, and a
 // population job is looked up (by the coordinator, as Submit would)
 // only when its slices are at hand — its trace population, or a suite
-// the warm cache holds — since a job that must generate its suite is
-// queued anyway. An unknown trace answers 400 at submit.
+// the population table holds — since a job that must generate its suite
+// is queued anyway. An unknown trace answers 400 at submit.
 func (s *Server) stored(req JobRequest, spec workload.SuiteSpec, gens []core.GenConfig, digest string) (json.RawMessage, error) {
 	if req.Kind == "slice" {
 		r, ok := s.results.Get(sliceCell(digest))
@@ -636,7 +618,7 @@ func (s *Server) stored(req JobRequest, spec workload.SuiteSpec, gens []core.Gen
 			return nil, err
 		}
 		sub.Trace, sub.Slices = pop.Meta.ID, pop.Slices
-	} else if sub.Slices = s.warm.CachedSuite(spec); sub.Slices == nil {
+	} else if sub.Slices = s.table.CachedSuite(spec); sub.Slices == nil {
 		return nil, nil
 	}
 	p, ok := s.fabric.Stored(sub)

@@ -306,7 +306,8 @@ func TestQueueOverflowShedsLoad(t *testing.T) {
 		t.Fatalf("jobs_rejected = %v, want 1", m["serve.jobs_rejected"])
 	}
 	// Deciding to queue or shed a job generates nothing: a suite is
-	// looked up at submit only when the warm cache already holds it.
+	// looked up at submit only when the population table already holds
+	// it.
 	if m["serve.warm.suite_misses"] != 0 {
 		t.Fatalf("suite_misses = %v, want 0: a submit generated a suite", m["serve.warm.suite_misses"])
 	}

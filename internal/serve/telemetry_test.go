@@ -183,11 +183,10 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// TestAdmissionMetricsExported: /metrics exports the second-touch
-// capture skips and the pool's evictions, in the Prometheus and the
-// JSON form, with the counts the warm cache and the pool hold. Two
-// one-shot M7 jobs skip every first warmup, and the second job's M7
-// pushes the first one's idle simulator out of the pool.
+// TestAdmissionMetricsExported: /metrics exports the pool's evictions,
+// in the Prometheus and the JSON form, with the count the pool holds:
+// the second of two one-shot M7 jobs pushes the first one's idle
+// simulator out of the pool.
 func TestAdmissionMetricsExported(t *testing.T) {
 	s := New(Config{Workers: 1, SweepParallelism: 1})
 	defer s.Shutdown(context.Background())
@@ -202,15 +201,13 @@ func TestAdmissionMetricsExported(t *testing.T) {
 			t.Fatalf("job %d: %s (%s)", i, done.Status, done.Error)
 		}
 	}
-	skips, evictions := s.warm.Stats().CaptureSkips, s.pool.Evictions()
-	if skips == 0 || evictions != 1 {
-		t.Fatalf("capture skips %d, pool evictions %d; want skips and one eviction", skips, evictions)
+	if evictions := s.pool.Evictions(); evictions != 1 {
+		t.Fatalf("pool evictions %d; want one", evictions)
 	}
 
 	m := metrics(t, ts)
-	if m["serve.warm.capture_skips"] != float64(skips) || m["serve.pool.evictions"] != float64(evictions) {
-		t.Fatalf("JSON metrics: capture_skips %v, evictions %v; want %d, %d",
-			m["serve.warm.capture_skips"], m["serve.pool.evictions"], skips, evictions)
+	if m["serve.pool.evictions"] != 1 {
+		t.Fatalf("JSON metrics: evictions %v; want 1", m["serve.pool.evictions"])
 	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -219,8 +216,6 @@ func TestAdmissionMetricsExported(t *testing.T) {
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		"# TYPE serve_warm_capture_skips counter",
-		fmt.Sprintf("serve_warm_capture_skips %d\n", skips),
 		"# TYPE serve_pool_evictions counter",
 		"serve_pool_evictions 1\n",
 	} {

@@ -21,7 +21,9 @@ import (
 
 	"exysim/internal/experiments"
 	"exysim/internal/fabric"
+	"exysim/internal/simpoint"
 	"exysim/internal/tracestore"
+	"exysim/internal/workload"
 )
 
 const traceFixture = "../tracestore/testdata/fixture.champsim.gz"
@@ -192,14 +194,14 @@ func TestTracePipelineEndToEnd(t *testing.T) {
 	if !d.store.Has(id) {
 		t.Fatal("worker with a store did not cache the fetched population")
 	}
-	fetched := c.warm.Stats()
+	fetched := c.table.Stats()
 	if fetched.TraceMisses != 1 {
 		t.Fatalf("store-less worker resolved the population with %d fetches, want 1", fetched.TraceMisses)
 	}
 	if _, err := c.population(id); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.warm.Stats(); st.TraceMisses != 1 || st.TraceHits != fetched.TraceHits+1 {
+	if st := c.table.Stats(); st.TraceMisses != 1 || st.TraceHits != fetched.TraceHits+1 {
 		t.Fatalf("store-less worker's next resolution: %d hits, %d fetches; want %d and 1",
 			st.TraceHits, st.TraceMisses, fetched.TraceHits+1)
 	}
@@ -245,5 +247,55 @@ func TestTraceUploadBodyCap(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("spooled upload differs from the body (err %v)", err)
+	}
+}
+
+// TestTraceGetReadsMetadataOnly: GET /v1/traces/{id} of a population on
+// disk but not resident answers its metadata without resolving it — no
+// trace miss, nothing admitted to the population table — an unknown id
+// answers 404, and a server without a store 503.
+func TestTraceGetReadsMetadataOnly(t *testing.T) {
+	dir := t.TempDir()
+	st, err := tracestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 2_000, WarmupFrac: 0.25, Seed: 7}
+	pop := tracestore.NewPopulation("disk", "trace", workload.Suite(spec), &simpoint.Result{Cfg: simpoint.DefaultConfig()})
+	if err := st.Put(pop); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, TraceDir: dir})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	before := metrics(t, ts)
+	resp, err := ts.Client().Get(ts.URL + "/v1/traces/" + pop.Meta.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta tracestore.Meta
+	err = json.NewDecoder(resp.Body).Decode(&meta)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || meta.ID != pop.Meta.ID {
+		t.Fatalf("GET: %d, id %q, %v", resp.StatusCode, meta.ID, err)
+	}
+	after := metrics(t, ts)
+	for _, k := range []string{"serve.warm.populations", "serve.tracestore.misses"} {
+		if after[k] != before[k] {
+			t.Fatalf("%s moved %v → %v: the GET resolved the population", k, before[k], after[k])
+		}
+	}
+	if r, err := ts.Client().Get(ts.URL + "/v1/traces/nope"); err != nil || r.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown id: %v %v", r, err)
+	}
+
+	bs := New(Config{Workers: 1})
+	defer bs.Shutdown(context.Background())
+	bare := httptest.NewServer(bs.Handler())
+	defer bare.Close()
+	if r, err := bare.Client().Get(bare.URL + "/v1/traces/" + pop.Meta.ID); err != nil || r.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("no store: %v %v", r, err)
 	}
 }

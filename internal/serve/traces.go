@@ -18,7 +18,7 @@ import (
 // populations this process doesn't hold locally: worker mode points it
 // at the coordinator (HTTPTraceFetcher) so a granted trace shard can be
 // computed without the operator pre-seeding every worker's store.
-// Fetched populations enter the warm cache's population table, and the
+// Fetched populations enter the population table, and the
 // store when one is open. Call before the worker starts leasing; the
 // resolver is read concurrently afterwards.
 func (s *Server) SetTraceFetcher(fetch func(id string) (*tracestore.Population, error)) {
@@ -27,14 +27,14 @@ func (s *Server) SetTraceFetcher(fetch func(id string) (*tracestore.Population, 
 	s.traceMu.Unlock()
 }
 
-// population resolves a trace population id through the warm cache's
-// population table; a population the table does not hold is decoded
-// from the local store, or else fetched with the installed fetcher and
-// kept in the store when one is open. A fetched population's recomputed
+// population resolves a trace population id through the population
+// table; a population the table does not hold is decoded from the local
+// store, or else fetched with the installed fetcher and kept in the
+// store when one is open. A fetched population's recomputed
 // id must match the requested one — a corrupted or mislabeled source is
 // an error, not a silently different sweep.
 func (s *Server) population(id string) (*tracestore.Population, error) {
-	return s.warm.Trace(id, func() (*tracestore.Population, error) {
+	return s.table.Trace(id, func() (*tracestore.Population, error) {
 		if s.store != nil && s.store.Has(id) {
 			return s.store.Get(id)
 		}
@@ -130,7 +130,7 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	pop, dedup, err := s.store.IngestFile(path, opts)
 	if err == nil {
 		// Resident from its upload on: the first sweep over it hits.
-		_, err = s.warm.AdmitTrace(pop)
+		_, err = s.table.AdmitTrace(pop)
 	}
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "ingest: "+err.Error())
@@ -184,13 +184,25 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"traces": metas})
 }
 
+// handleTraceGet answers a stored population's metadata from the
+// store's meta.json alone: it decodes no slice and leaves the
+// population table untouched.
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	pop, err := s.population(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+	if s.store == nil {
+		writeError(w, http.StatusServiceUnavailable, "no trace store (start with --trace-dir)")
 		return
 	}
-	writeJSON(w, http.StatusOK, pop.Meta)
+	id := r.PathValue("id")
+	if !s.store.Has(id) {
+		writeError(w, http.StatusNotFound, "unknown trace population "+id)
+		return
+	}
+	meta, err := s.store.Meta(id)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeJSON(w, http.StatusOK, meta)
 }
 
 // handleTraceBundle streams the population as a self-verifying binary

@@ -1,7 +1,10 @@
 // Package snapshot deep-copies the mutable state of an object graph
-// into a flat image and restores it later — the mechanism behind
-// warm-state forking: run a slice's warmup once, capture the simulator,
-// then restore before each sweep variant or rep instead of re-warming.
+// into a flat image and restores it later: capture a simulator after a
+// slice's warmup, then restore it into a sibling. No sweep forks warm
+// state any more (a recurring cell comes from the result store); the
+// codec's only non-test caller is core.Simulator.CaptureState and
+// RestoreState, which the benchmark's snapshot.* layer rows time
+// (perfbench/layers.go).
 //
 // The codec walks a root pointer's reachable graph with reflection and
 // copies raw memory with unsafe: pointer-free ("POD") regions — which is

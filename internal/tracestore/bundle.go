@@ -21,9 +21,11 @@ import (
 //
 // Each section is length-prefixed because the EXYT decoder reads through
 // a buffered reader of its own; prefixes let the receiver hand each
-// decoder exactly its bytes. ReadBundle re-derives the content id from
-// the decoded slices and rejects a bundle whose bytes do not hash to the
-// id its metadata claims — a peer cannot serve altered content.
+// decoder exactly its bytes. A prefix is a claim, not an allocation:
+// ReadBundle reads each section through a reader limited to it, so it
+// holds only what arrives. It re-derives the content id from the
+// decoded slices and rejects a bundle whose bytes do not hash to the id
+// its metadata claims — a peer cannot serve altered content.
 
 const maxBundleSection = 1 << 30 // hard cap per length prefix
 
@@ -68,7 +70,10 @@ func WriteBundle(w io.Writer, p *Population) error {
 // population id.
 func ReadBundle(r io.Reader) (*Population, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	section := func(what string) ([]byte, error) {
+	// section reads one length prefix and returns a reader of that many
+	// bytes; end checks they all arrived, skipping any the section's
+	// decoder left unread.
+	section := func(what string) (*io.LimitedReader, error) {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("tracestore: bundle %s length: %w", what, err)
@@ -76,14 +81,26 @@ func ReadBundle(r io.Reader) (*Population, error) {
 		if n > maxBundleSection {
 			return nil, fmt.Errorf("tracestore: bundle %s length %d exceeds cap", what, n)
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("tracestore: bundle %s: %w", what, err)
-		}
-		return buf, nil
+		return &io.LimitedReader{R: br, N: int64(n)}, nil
 	}
-	metaBuf, err := section("meta")
+	end := func(what string, sec *io.LimitedReader) error {
+		if _, err := io.Copy(io.Discard, sec); err != nil {
+			return fmt.Errorf("tracestore: bundle %s: %w", what, err)
+		}
+		if sec.N > 0 {
+			return fmt.Errorf("tracestore: bundle %s: %w", what, io.ErrUnexpectedEOF)
+		}
+		return nil
+	}
+	sec, err := section("meta")
 	if err != nil {
+		return nil, err
+	}
+	metaBuf, err := io.ReadAll(sec)
+	if err != nil {
+		return nil, fmt.Errorf("tracestore: bundle meta: %w", err)
+	}
+	if err := end("meta", sec); err != nil {
 		return nil, err
 	}
 	var meta Meta
@@ -96,13 +113,17 @@ func ReadBundle(r io.Reader) (*Population, error) {
 	}
 	pop := &Population{Meta: meta, Slices: make([]*trace.Slice, len(meta.Slices))}
 	for i, sm := range meta.Slices {
-		data, err := section(fmt.Sprintf("slice %d", i))
+		what := fmt.Sprintf("slice %d", i)
+		sec, err := section(what)
 		if err != nil {
 			return nil, err
 		}
-		sl, err := trace.Read(bytes.NewReader(data))
+		sl, err := trace.Read(sec)
 		if err != nil {
-			return nil, fmt.Errorf("tracestore: bundle slice %d: %w", i, err)
+			return nil, fmt.Errorf("tracestore: bundle %s: %w", what, err)
+		}
+		if err := end(what, sec); err != nil {
+			return nil, err
 		}
 		if got := fmt.Sprintf("%016x", sl.Digest()); got != sm.Digest {
 			return nil, fmt.Errorf("tracestore: bundle slice %d (%s): digest %s does not match metadata %s",

@@ -19,7 +19,7 @@
 //
 // The store keeps no population in memory: Get decodes and verifies
 // from disk on every call. A process that sweeps populations keeps the
-// resident ones in its experiments.WarmCache population table, under
+// resident ones in its experiments.PopulationTable, under
 // the byte budget it shares with the synthetic suites.
 package tracestore
 
@@ -260,14 +260,11 @@ func (s *Store) write(p *Population) error {
 // content digest is checked against the stored metadata — disk
 // corruption surfaces as an error, never as silently different results.
 func (s *Store) Get(id string) (*Population, error) {
-	dir := filepath.Join(s.root, id)
-	meta, err := readMeta(dir)
+	meta, err := s.Meta(id)
 	if err != nil {
 		return nil, err
 	}
-	if meta.ID != id {
-		return nil, fmt.Errorf("tracestore: %s/meta.json claims id %s", id, meta.ID)
-	}
+	dir := filepath.Join(s.root, id)
 	pop := &Population{Meta: meta, Slices: make([]*trace.Slice, len(meta.Slices))}
 	for i, sm := range meta.Slices {
 		f, err := os.Open(filepath.Join(dir, sliceFile(i)))
@@ -286,6 +283,18 @@ func (s *Store) Get(id string) (*Population, error) {
 		pop.Slices[i] = sl
 	}
 	return pop, nil
+}
+
+// Meta reads population id's metadata alone, decoding no slice.
+func (s *Store) Meta(id string) (Meta, error) {
+	meta, err := readMeta(filepath.Join(s.root, id))
+	if err != nil {
+		return Meta{}, err
+	}
+	if meta.ID != id {
+		return Meta{}, fmt.Errorf("tracestore: %s/meta.json claims id %s", id, meta.ID)
+	}
+	return meta, nil
 }
 
 func sliceFile(i int) string { return fmt.Sprintf("slice-%04d.exyt", i) }

@@ -1,10 +1,10 @@
-// Tests for the warm-state snapshot/fork protocol: a simulator restored
-// from a warm image captured at the warmup boundary must be
-// indistinguishable from one that re-ran the warmup cold. The population
-// harness leans on this to pay each (generation, slice) warmup once and
-// fork every later rep or sweep variant from the stored image.
-// Subtests are parallel, so `go test -race` also proves forked and cold
-// runs share no mutable state across goroutines.
+// Tests for the warm-state snapshot codec and the sweep's reuse of a
+// population table. A simulator restored from a warm image captured at
+// the warmup boundary must be indistinguishable from one that re-ran
+// the warmup cold: no sweep forks any more, but the benchmark's
+// snapshot.* layer rows time this capture and restore. Subtests are
+// parallel, so `go test -race` also proves forked and cold runs share
+// no mutable state across goroutines.
 package exysim
 
 import (
@@ -90,11 +90,10 @@ func TestWarmForkMatchesColdRerun(t *testing.T) {
 }
 
 // TestRunWithWarmSnapshotsBitIdentical pins the sweep-level contract:
-// experiments.Run with WithWarmSnapshots must produce bit-identical
-// Results to a plain cold sweep on every pass — the first (which only
-// records each pair's first warmup), the second (which captures each
-// pair's image while running cold) and the third over the populated
-// cache (which forks every pair from its stored image).
+// experiments.Run with WithPopulationTable must produce bit-identical
+// Results to a plain sweep on every pass — the first (which generates
+// the suite and compiles each slice's stream) and the second (which
+// takes both from the table).
 func TestRunWithWarmSnapshotsBitIdentical(t *testing.T) {
 	spec := workload.SuiteSpec{SlicesPerFamily: 1, InstsPerSlice: 8_000, WarmupFrac: 0.25, Seed: 0xE59}
 	ctx := context.Background()
@@ -107,9 +106,9 @@ func TestRunWithWarmSnapshotsBitIdentical(t *testing.T) {
 		t.Fatalf("cold sweep quarantined slices: %+v", cold.Failures)
 	}
 
-	warm := experiments.NewWarmCache()
-	for _, pass := range []string{"first-warmup", "capture", "fork"} {
-		p, err := experiments.Run(ctx, spec, experiments.WithWarmSnapshots(warm))
+	table := experiments.NewPopulationTable()
+	for _, pass := range []string{"first", "second"} {
+		p, err := experiments.Run(ctx, spec, experiments.WithPopulationTable(table))
 		if err != nil {
 			t.Fatalf("%s sweep: %v", pass, err)
 		}
@@ -118,34 +117,25 @@ func TestRunWithWarmSnapshotsBitIdentical(t *testing.T) {
 		}
 	}
 
-	st := warm.Stats()
-	pairs := uint64(len(cold.Gens) * len(cold.Slices))
-	if st.CaptureSkips != pairs {
-		t.Errorf("capture skips = %d, want every pair's first warmup skipped (%d)", st.CaptureSkips, pairs)
+	// The suite is generated once and each stream compiled once; the
+	// second pass takes both from the table.
+	st := table.Stats()
+	if st.SuiteMisses != 1 || st.SuiteHits != 1 {
+		t.Errorf("suite hits %d, misses %d; want 1 and 1", st.SuiteHits, st.SuiteMisses)
 	}
-	if st.Captures != pairs {
-		t.Errorf("captures = %d, want one per pair (%d)", st.Captures, pairs)
-	}
-	if st.Forks != pairs {
-		t.Errorf("forks = %d, want every pair forked on the third pass (%d)", st.Forks, pairs)
-	}
-	if st.CaptureErrors != 0 {
-		t.Errorf("capture errors: %d", st.CaptureErrors)
-	}
-	if st.SnapshotEntries != pairs || st.SnapshotBytes == 0 {
-		t.Errorf("cache holds %d entries / %d bytes, want %d entries",
-			st.SnapshotEntries, st.SnapshotBytes, pairs)
+	if n := uint64(len(cold.Slices)); st.DecodeMisses != n || st.DecodeHits != n {
+		t.Errorf("decode hits %d, misses %d; want %d each", st.DecodeHits, st.DecodeMisses, n)
 	}
 
-	// A long-lived exyserve process runs warm snapshots and a shared
+	// A long-lived exyserve process runs the table and a shared
 	// simulator pool together; pin that the combination stays
 	// bit-identical to the cold sweep too.
 	pooled, err := experiments.Run(ctx, spec,
-		experiments.WithWarmSnapshots(warm), experiments.WithSimPool(experiments.NewSimPool()))
+		experiments.WithPopulationTable(table), experiments.WithSimPool(experiments.NewSimPool()))
 	if err != nil {
-		t.Fatalf("pooled warm sweep: %v", err)
+		t.Fatalf("pooled sweep: %v", err)
 	}
 	if !reflect.DeepEqual(pooled.Results, cold.Results) {
-		t.Errorf("pooled fork pass differs from cold sweep")
+		t.Errorf("pooled pass differs from cold sweep")
 	}
 }
